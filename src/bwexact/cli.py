@@ -1,7 +1,7 @@
 """Command-line front end: decide / solve / oracle / analyze / gen / bench.
 
 Exit codes: 0 success (yes / optimal), 1 no, 2 unknown (budget
-exhausted), 3 input or usage error.
+exhausted), 3 input or usage error, or an internal failure.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from .analysis import (
     McWeights,
@@ -270,6 +271,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception:
+        # A crash must not exit 1, which reads as a proven "no".
+        traceback.print_exc()
+        print("error: internal failure, no answer", file=sys.stderr)
         return EXIT_ERROR
 
 

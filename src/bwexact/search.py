@@ -9,6 +9,13 @@ per-vertex code).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import hashlib
+import math
+import os
+import shutil
 import time
 from dataclasses import dataclass
 
@@ -17,6 +24,8 @@ from .geometry import ColorOrder, color_order
 from .graph import Graph, ordering_bandwidth
 
 DEFAULT_MAX_STATES = 1 << 26
+# The compiled kernel packs 3 bits per vertex into a 64-bit state key.
+C_KERNEL_MAX_N = 21
 
 YES = "yes"
 NO = "no"
@@ -25,6 +34,11 @@ UNKNOWN = "unknown"
 
 class BudgetExhausted(Exception):
     """Raised internally when a resource cap is hit; surfaces as UNKNOWN."""
+
+
+class WitnessError(RuntimeError):
+    """A search returned an ordering that fails the bandwidth check: a
+    kernel bug, never to be reported as a yes."""
 
 
 @dataclass(frozen=True)
@@ -47,12 +61,14 @@ class SearchStats:
     states_visited: int = 0
     depth_max: int = 0
     result: str = UNKNOWN
+    kernel: str = "python"  # "c" or "python": which kernel ran
 
     def to_dict(self) -> dict:
         return {
             "states_visited": self.states_visited,
             "depth_max": self.depth_max,
             "result": self.result,
+            "kernel": self.kernel,
         }
 
 
@@ -125,29 +141,46 @@ def dfs_decide(
     Returns (YES, ordering, stats) on success, (NO, None, stats) when
     the state space is exhausted, or (UNKNOWN, None, stats) when a
     resource cap fires. The visited set belongs to this run only.
+
+    Runs the compiled kernel (see _kernel.c) when it is available and
+    1 <= n <= C_KERNEL_MAX_N, and the Python loop otherwise; both visit
+    the same states in the same order. Raises WitnessError rather than
+    return an ordering that fails the bandwidth check.
     """
     n = g.n
     if corder is None:
         corder = color_order(n, b)
-    step = corder.step_base_segment
-    seq = corder.sequence
-    adj = g.adj
-    lo = phi.lo
     hi = [phi.hi(v) for v in range(n)]
+    kernel = _c_kernel() if 0 < n <= C_KERNEL_MAX_N else None
+    args = (g, phi.lo, hi, corder.step_base_segment, max_states, deadline)
+    status, path, stats = _dfs_python(*args) if kernel is None else _dfs_c(kernel, *args)
+    stats.result = status
+    if status != YES:
+        return status, None, stats
+    pos = [0] * n
+    for k, v in enumerate(path):
+        pos[v] = corder.sequence[k]
+    if ordering_bandwidth(g, pos) > b:
+        raise WitnessError(f"{stats.kernel} kernel returned an ordering of bandwidth > {b}")
+    return YES, pos, stats
 
+
+def _dfs_python(g, lo, hi, step, max_states, deadline):
+    """The reference kernel: recursive DFS over states keyed like
+    encode_state. Returns (status, path, stats), path[d] being the
+    vertex placed at step d."""
+    n = g.n
+    adj = g.adj
     assigned = [-1] * n
     path: list[int] = []
     visited = {0}
-    stats = SearchStats(states_visited=1)
+    stats = SearchStats(states_visited=1, kernel="python")
 
-    def visit(key: int, depth: int) -> list[int] | None:
+    def visit(key: int, depth: int) -> bool:
         if depth > stats.depth_max:
             stats.depth_max = depth
         if depth == n:
-            pos = [0] * n
-            for k, v in enumerate(path):
-                pos[v] = seq[k]
-            return pos
+            return True
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExhausted("time budget exhausted")
         t = step[depth]
@@ -175,25 +208,101 @@ def dfs_decide(
             stats.states_visited += 1
             assigned[v] = t
             path.append(v)
-            found = visit(child, depth + 1)
+            if visit(child, depth + 1):
+                return True
             path.pop()
             assigned[v] = -1
-            if found is not None:
-                return found
-        return None
+        return False
 
     try:
-        pos = visit(0, 0)
+        found = visit(0, 0)
     except BudgetExhausted:
-        stats.result = UNKNOWN
         return UNKNOWN, None, stats
-    if pos is None:
-        stats.result = NO
-        return NO, None, stats
-    # Defensive check: the witness really is a b-ordering.
-    assert ordering_bandwidth(g, pos) <= b, "search produced an invalid witness"
-    stats.result = YES
-    return YES, pos, stats
+    return (YES, path, stats) if found else (NO, None, stats)
+
+
+# bw_dfs return codes; running out of memory is UNKNOWN like any cap.
+_C_STATUS = (NO, YES, UNKNOWN, UNKNOWN)
+_U64_MAX = (1 << 64) - 1
+
+
+def _dfs_c(kernel, g, lo, hi, step, max_states, deadline):
+    """The compiled kernel behind the same (status, path, stats) contract."""
+    n = g.n
+    if min(step) < 0 or max(step) >= n:  # the kernel indexes per-segment masks by step
+        raise ValueError("color order does not match the graph")
+    ints = ctypes.c_int * n
+    path = ints()
+    out = (ctypes.c_uint64 * 2)()
+    code = kernel(
+        n,
+        (ctypes.c_uint64 * n)(*[sum(1 << u for u in nbrs) for nbrs in g.adj]),
+        ints(*lo),
+        ints(*hi),
+        ints(*step),
+        max(0, min(max_states, _U64_MAX)),
+        math.inf if deadline is None else deadline,
+        path,
+        out,
+    )
+    status = _C_STATUS[code]
+    stats = SearchStats(states_visited=out[0], depth_max=out[1], kernel="c")
+    return status, list(path) if status == YES else None, stats
+
+
+_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+
+
+@functools.cache
+def _c_kernel():
+    """bw_dfs from the compiled kernel, or None when it cannot be had.
+
+    The library is built once per source version into this package's
+    __pycache__, named by the source's sha256, and loaded from there by
+    every later process; a missing compiler or a failed build or load
+    leaves the Python kernel in use.
+    """
+    try:
+        with open(_KERNEL_SOURCE, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+    except OSError:
+        return None
+    lib = os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__", f"_kernel-{digest}.so")
+    if not os.path.exists(lib) and not _compile_kernel(_KERNEL_SOURCE, lib):
+        return None
+    try:
+        fn = ctypes.CDLL(lib).bw_dfs
+    except (OSError, AttributeError):
+        return None
+    u64_p = ctypes.POINTER(ctypes.c_uint64)
+    int_p = ctypes.POINTER(ctypes.c_int)
+    fn.argtypes = [ctypes.c_int, u64_p, int_p, int_p, int_p, ctypes.c_uint64, ctypes.c_double, int_p, u64_p]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _compile_kernel(source: str, lib: str) -> bool:
+    """Build `lib` from `source` with the system C compiler; False on
+    any failure. The library appears under its final name only once
+    complete, so concurrent builders never load a partial file."""
+    import subprocess  # only a build needs it; the package import stays lean
+
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        return False
+    tmp = f"{lib}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(lib), exist_ok=True)
+        subprocess.run(
+            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, source],
+            check=True, capture_output=True, timeout=120,
+        )
+        os.replace(tmp, lib)
+    except (OSError, subprocess.SubprocessError):
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        return False
+    return True
 
 
 def per_run_state_ceiling(n: int, leaf_count: int) -> int:

@@ -27,6 +27,7 @@ from .search import (
     NO,
     UNKNOWN,
     YES,
+    WitnessError,
     dfs_decide,
     per_run_state_ceiling,
 )
@@ -66,6 +67,19 @@ class DecideStats:
     states_max_run: int = 0
     leaf_count: int = 0
     per_run_ceiling: int = 0
+    kernel: str | None = None  # phase-2 kernel that ran: "c", "python", "mixed"
+
+    def record_run(self, visited: int, kernel: str) -> None:
+        self.runs += 1
+        self.states_total += visited
+        self.states_max_run = max(self.states_max_run, visited)
+        self._add_kernel(kernel)
+
+    def _add_kernel(self, kernel: str | None) -> None:
+        if self.kernel is None:
+            self.kernel = kernel
+        elif kernel not in (None, self.kernel):
+            self.kernel = "mixed"
 
     def merge(self, other: "DecideStats") -> None:
         self.assignments_generated += other.assignments_generated
@@ -75,6 +89,7 @@ class DecideStats:
         self.states_max_run = max(self.states_max_run, other.states_max_run)
         self.leaf_count = max(self.leaf_count, other.leaf_count)
         self.per_run_ceiling = max(self.per_run_ceiling, other.per_run_ceiling)
+        self._add_kernel(other.kernel)
 
     def to_dict(self) -> dict:
         return {
@@ -85,6 +100,7 @@ class DecideStats:
             "states_max_run": self.states_max_run,
             "leaf_count": self.leaf_count,
             "per_run_ceiling": self.per_run_ceiling,
+            "kernel": self.kernel,
         }
 
 
@@ -146,9 +162,7 @@ def decide(
             deadline=deadline,
             corder=corder,
         )
-        stats.runs += 1
-        stats.states_total += run.states_visited
-        stats.states_max_run = max(stats.states_max_run, run.states_visited)
+        stats.record_run(run.states_visited, run.kernel)
         if status == YES:
             return DecideResult(YES, pos, stats)
         if status == UNKNOWN:
@@ -166,11 +180,12 @@ def _passes_filter(phi: SegmentAssignment, g: Graph) -> bool:
 _CTX: dict = {}
 
 
-def _init_worker(n, edges, b, root, parent, children, max_states):
+def _init_worker(n, edges, b, root, parent, children, max_states, deadline):
     g = Graph(n, edges)
     tree = RootedTree(root, list(parent), [list(c) for c in children])
     _CTX.update(
-        g=g, tree=tree, b=b, corder=color_order(n, b), max_states=max_states
+        g=g, tree=tree, b=b, corder=color_order(n, b), max_states=max_states,
+        deadline=deadline,
     )
 
 
@@ -179,9 +194,10 @@ def _run_assignment(lo: tuple[int, ...]):
     status, pos, run = dfs_decide(
         phi, _CTX["g"], _CTX["b"],
         max_states=_CTX["max_states"],
+        deadline=_CTX["deadline"],
         corder=_CTX["corder"],
     )
-    return status, pos, run.states_visited
+    return status, pos, run.states_visited, run.kernel
 
 
 def _decide_parallel(g, b, budget, tree, stats, deadline, workers, prune):
@@ -203,13 +219,11 @@ def _decide_parallel(g, b, budget, tree, stats, deadline, workers, prune):
         initializer=_init_worker,
         initargs=(
             g.n, sorted(g.edges), b, tree.root, tree.parent,
-            [list(c) for c in tree.children], budget.per_run_cap,
+            [list(c) for c in tree.children], budget.per_run_cap, deadline,
         ),
     ) as pool:
-        for status, pos, visited in pool.imap(_run_assignment, accepted_lo(), chunksize=4):
-            stats.runs += 1
-            stats.states_total += visited
-            stats.states_max_run = max(stats.states_max_run, visited)
+        for status, pos, visited, kernel in pool.imap(_run_assignment, accepted_lo(), chunksize=4):
+            stats.record_run(visited, kernel)
             if status == YES:
                 pool.terminate()
                 return DecideResult(YES, pos, stats)
@@ -321,10 +335,9 @@ def minimize_bandwidth(
     stats["components"] = len(comps)
     if brackets:
         stats["unknown_brackets"] = brackets
-    result = SolveResult(best, final_pos, status, stats)
-    if status == OPTIMAL:
-        assert ordering_bandwidth(g, final_pos) == best
-    return result
+    if status == OPTIMAL and ordering_bandwidth(g, final_pos) != best:
+        raise WitnessError(f"composed ordering does not have bandwidth {best}")
+    return SolveResult(best, final_pos, status, stats)
 
 
 def _solve_component(

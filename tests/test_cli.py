@@ -19,6 +19,7 @@ class TestDecide:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "yes"
         assert report["input"] == {"n": 4, "m": 3}
+        assert report["counters"]["kernel"] in ("c", "python")
 
     def test_no_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "k4.g", generate("complete", 4))
@@ -35,6 +36,13 @@ class TestDecide:
         assert main(["decide", "/nonexistent.g", "--b", "1"]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_crash_exit_3(self, tmp_path, capsys):
+        # n = 1501 overflows the recursion of the Python phase 1 and 2; a
+        # crash must never exit 1, which means a proven "no".
+        path = write(tmp_path, "star1500.g", generate("star", 1500))
+        assert main(["decide", path, "--b", "750"]) == 3
+        assert "internal failure" in capsys.readouterr().err
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.g"
         path.write_text("2 1\n0 5\n")
@@ -47,6 +55,7 @@ class TestSolve:
         assert main(["solve", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["bandwidth"] == 2 and report["status"] == "optimal"
+        assert report["stats"]["kernel"] in ("c", "python")
 
     def test_two_components(self, tmp_path, capsys):
         text = "5 4\n0 1\n1 2\n3 4\n0 2\n"

@@ -1,12 +1,17 @@
 import math
+import time
 
 import pytest
 
 from conftest import brute_bandwidth
 
+from bwexact import solve
 from bwexact.graph import Graph, GraphError, generate, ordering_bandwidth
+from bwexact.search import WitnessError
 from bwexact.solve import (
     Budget,
+    DecideResult,
+    DecideStats,
     NO,
     OPTIMAL,
     UNKNOWN,
@@ -69,8 +74,24 @@ class TestDecide:
             seq = decide(g, b)
             par = decide(g, b, workers=3)
             assert seq.status == par.status
+            assert seq.stats.kernel == par.stats.kernel
             if seq.status == YES:
                 assert ordering_bandwidth(g, par.ordering) <= b
+
+
+    def test_parallel_workers_honour_deadline(self):
+        # Single runs on this tree at b=5 take seconds, so the deadline
+        # must stop the workers mid-run. The state cap only bounds memory
+        # should it not.
+        g = generate("random_tree", 24, seed=0)
+        start = time.monotonic()
+        res = decide(g, 5, Budget(max_states=1_000_000, max_seconds=0.5), workers=2)
+        assert res.status == UNKNOWN
+        assert time.monotonic() - start < 0.5 + 2.0
+
+    def test_kernel_reported(self):
+        assert decide(generate("cycle", 6), 2).stats.kernel in ("c", "python")
+        assert decide(generate("star", 21), 11).stats.kernel == "python"
 
 
 class TestMinimize:
@@ -107,6 +128,20 @@ class TestMinimize:
         res = minimize_bandwidth(g, Budget(max_states=2))
         assert res.status == UNKNOWN
         assert "unknown_brackets" in res.stats
+
+    def test_bad_witness_raises(self, monkeypatch):
+        # A decide that says yes with an ordering of bandwidth 4 on C5.
+        def lying_decide(g, b, *args, **kwargs):
+            return DecideResult(YES, list(range(1, g.n + 1)), DecideStats())
+
+        monkeypatch.setattr(solve, "decide", lying_decide)
+        with pytest.raises(WitnessError):
+            minimize_bandwidth(generate("cycle", 5))
+
+    def test_kernel_in_stats(self):
+        assert minimize_bandwidth(generate("cycle", 6)).stats["kernel"] in ("c", "python")
+        # No decide call: the identity ordering of a path meets the lower bound.
+        assert minimize_bandwidth(generate("path", 6)).stats["kernel"] is None
 
     def test_result_dict_roundtrip(self):
         res = minimize_bandwidth(generate("cycle", 5))
