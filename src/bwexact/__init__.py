@@ -33,15 +33,7 @@ from .graph import (
     spanning_tree,
     write_graph,
 )
-from .search import (
-    SearchState,
-    SearchStats,
-    dfs_decide,
-    encode_state,
-    extend,
-    extend_candidates,
-    per_run_state_ceiling,
-)
+from .search import SearchStats, dfs_decide, per_run_state_ceiling
 from .solve import (
     Budget,
     DecideResult,
@@ -61,7 +53,6 @@ __all__ = [
     "McBound",
     "McWeights",
     "RootedTree",
-    "SearchState",
     "SearchStats",
     "Segment",
     "SegmentAssignment",
@@ -74,10 +65,7 @@ __all__ = [
     "decide",
     "dfs_decide",
     "edge_filter",
-    "encode_state",
     "enumerate_assignments",
-    "extend",
-    "extend_candidates",
     "generate",
     "kappa_for",
     "lower_bound",

@@ -6,7 +6,9 @@
  * `assigned`, and val[k], the vertices mapped to base segment k. Vertex
  * v may take base segment t when lo[v] <= t < hi[v], every assigned
  * neighbour holds t or t+1, and no unassigned neighbour's segment
- * starts after t. The visited set is an open-addressing table of the
+ * starts after t. A child state is then dropped, before it is counted
+ * or stored, when the steps left cannot hold the unassigned vertices
+ * (see hall). The visited set is an open-addressing table of the
  * packed 3-bit-per-vertex keys, so n is at most 21.
  */
 #include <stdint.h>
@@ -54,6 +56,43 @@ static int grow(table *tb)
     return 1;
 }
 
+/* Hall-count test on the child state that places v at base segment t.
+ * ok[s] holds the parent's unassigned vertices that may still take
+ * segment s: s lies in their segment and every assigned neighbour holds
+ * s or s+1. The child's masks go to nok. slots[s] counts the steps
+ * left after the child with base segment s, and `unplaced` is the
+ * child's unassigned set. With m[s] = nok[s] for s that has steps
+ * left, and A(w) the segments s with w in m[s], the child is dropped
+ * (0) when some A(w) is empty, when more than slots[s] vertices have
+ * A(w) = {s}, or when more than slots[s] + slots[s+1] vertices have
+ * A(w) within {s, s+1}. These are Hall conditions that every
+ * completion meets, since assigned values never change below a state,
+ * so a dropped child has no completion and the search returns what it
+ * would without the test. */
+static int hall(int nseg, const uint64_t *ok, uint64_t *nok, const int *slots, uint64_t unplaced,
+                uint64_t nbrs, int t)
+{
+    uint64_t m[MAXN + 2], suf[MAXN + 3], pre = 0;
+    suf[nseg] = suf[nseg + 1] = 0;
+    for (int s = 0; s < nseg; s++) {
+        nok[s] = ok[s] & unplaced & (s == t || s == t - 1 ? ~0ULL : ~nbrs);
+        m[s] = slots[s] ? nok[s] : 0;
+    }
+    m[nseg] = 0;
+    for (int s = nseg - 1; s >= 0; s--)
+        suf[s] = suf[s + 1] | m[s]; /* suf[s]: the union of m[s..] */
+    if (unplaced & ~suf[0])
+        return 0;
+    for (int s = 0; s < nseg; s++) {
+        if (__builtin_popcountll(m[s] & ~(pre | suf[s + 1])) > slots[s])
+            return 0;
+        if (__builtin_popcountll((m[s] | m[s + 1]) & ~(pre | suf[s + 2])) > slots[s] + slots[s + 1])
+            return 0;
+        pre |= m[s];
+    }
+    return 1;
+}
+
 static int past(double deadline)
 {
     struct timespec ts;
@@ -62,23 +101,36 @@ static int past(double deadline)
 }
 
 /* Searches positions in color order; step[d] is the base segment of
- * the d-th position. On BW_YES, path[d] is the vertex placed at step d.
- * out[0] gets the states visited (the root included), out[1] the
- * deepest depth reached. The clock is read every 1024 expansions. */
-int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *hi, const int *step,
+ * the d-th position, in 0..n-1. Vertex v's segment is base segments
+ * lo[v] .. lo[v] + width[v] - 1. On BW_YES, path[d] is the vertex
+ * placed at step d. out[0] gets the states visited (the root
+ * included), out[1] the deepest depth reached. The clock is read every
+ * 1024 expansions. */
+int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const int *step,
            uint64_t max_states, double deadline, int *path, uint64_t *out)
 {
-    uint64_t cand[MAXN], late[MAXN], val[MAXN + 1] = {0};
+    uint64_t cand[MAXN], late[MAXN], val[MAXN + 1] = {0}, ok[MAXN + 1][MAXN];
     uint64_t key[MAXN + 1], rem[MAXN + 1], assigned = 0, states = 1, expansions = 1;
+    uint64_t all = (1ULL << n) - 1;
+    int slots[MAXN + 1][MAXN + 1] = {{0}}, nseg = 0;
     int depth = 0, depth_max = 0, status;
     for (int t = 0; t < n; t++) {
         cand[t] = late[t] = 0;
         for (int v = 0; v < n; v++) {
-            if (lo[v] <= t && t < hi[v])
+            if (lo[v] <= t && t < lo[v] + width[v])
                 cand[t] |= 1ULL << v;
             if (lo[v] > t)
                 late[t] |= 1ULL << v;
         }
+        ok[0][t] = cand[t];
+        if (step[t] >= nseg)
+            nseg = step[t] + 1;
+    }
+    /* slots[d][s]: steps at index >= d with base segment s */
+    for (int d = n - 1; d >= 0; d--) {
+        for (int s = 0; s < nseg; s++)
+            slots[d][s] = slots[d + 1][s];
+        slots[d][step[d]]++;
     }
     table tb = {calloc(1024, sizeof(uint64_t)), 1023, 0};
     key[0] = 0;
@@ -111,6 +163,9 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *hi, const int *
         uint64_t child = key[depth] | (uint64_t)(1 + t - lo[v]) << (3 * v);
         uint64_t *slot = find(&tb, child);
         if (*slot == child)
+            continue;
+        if (!hall(nseg, ok[depth], ok[depth + 1], slots[depth + 1], all & ~(assigned | 1ULL << v),
+                  adj[v], t))
             continue;
         if (states >= max_states) {
             status = BW_UNKNOWN;

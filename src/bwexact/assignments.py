@@ -26,7 +26,7 @@ class SegmentAssignment:
     tree: RootedTree
 
     def width(self, v: int) -> int:
-        return 4 if self.tree.is_leaf(v) else 2
+        return segment_width(self.tree, v)
 
     def hi(self, v: int) -> int:
         return self.lo[v] + self.width(v)
@@ -37,6 +37,11 @@ class SegmentAssignment:
     @property
     def n(self) -> int:
         return len(self.lo)
+
+
+def segment_width(tree: RootedTree, v: int) -> int:
+    """Base segments in v's segment: 4 for a leaf, 2 for an inner vertex."""
+    return 4 if tree.is_leaf(v) else 2
 
 
 def _nonempty(lo: int, hi: int, b: int, n: int) -> bool:
@@ -67,7 +72,7 @@ def enumerate_assignments(
     order = tree.preorder
     rank = {v: i for i, v in enumerate(order)}
     lo: list[int] = [0] * n
-    width = [4 if tree.is_leaf(v) else 2 for v in range(n)]
+    width = [segment_width(tree, v) for v in range(n)]
 
     def ok_so_far(v: int) -> bool:
         # Edge-distance condition against already-assigned neighbors:

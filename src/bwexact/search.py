@@ -4,7 +4,8 @@ fixed segment assignment.
 Positions are filled in the color order; a DFS node assigns the next
 color-order position's base segment to one more vertex. Each distinct
 state is expanded at most once per run (visited set keyed by a packed
-per-vertex code).
+per-vertex code), and a child state whose unassigned vertices can no
+longer all be placed in the steps left is dropped before it is counted.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import shutil
 import time
 from dataclasses import dataclass
 
-from .assignments import SegmentAssignment
+from .assignments import SegmentAssignment, segment_width
 from .geometry import ColorOrder, color_order
-from .graph import Graph, ordering_bandwidth
+from .graph import Graph, RootedTree, ordering_bandwidth
 
 DEFAULT_MAX_STATES = 1 << 26
 # The compiled kernel packs 3 bits per vertex into a 64-bit state key.
@@ -41,21 +42,6 @@ class WitnessError(RuntimeError):
     kernel bug, never to be reported as a yes."""
 
 
-@dataclass(frozen=True)
-class SearchState:
-    """Partial map vertex -> base-segment index (None = undefined)."""
-
-    assigned: tuple[int | None, ...]
-
-    @property
-    def count(self) -> int:
-        return sum(1 for t in self.assigned if t is not None)
-
-    @classmethod
-    def empty(cls, n: int) -> "SearchState":
-        return cls((None,) * n)
-
-
 @dataclass
 class SearchStats:
     states_visited: int = 0
@@ -72,60 +58,46 @@ class SearchStats:
         }
 
 
-def extend_candidates(
-    s: SearchState, phi: SegmentAssignment, g: Graph, t: int
-) -> list[int]:
-    """Vertices whose assignment to base segment t yields an extension.
+class SearchPlan:
+    """The phase-2 inputs that depend only on the graph, b and the
+    spanning tree: built once per decide and shared by all its runs.
 
-    A vertex qualifies when (a) base segment t lies inside its assigned
-    segment, (b) every defined neighbor's value k satisfies
-    k-1 <= t <= k, and (c) every undefined neighbor's segment starts at
-    or before t.
+    step[d] is the base segment filled at depth d, width[v] the width of
+    v's segment, adj[v] v's neighbours as a bitmask, and slots[d][s] the
+    number of steps at depth >= d with base segment s (each row ends in
+    an extra 0).
     """
-    out = []
-    for v in range(phi.n):
-        if s.assigned[v] is not None:
-            continue
-        if not (phi.lo[v] <= t < phi.hi(v)):
-            continue
-        ok = True
-        for u in g.adj[v]:
-            k = s.assigned[u]
-            if k is not None:
-                if not (k - 1 <= t <= k):
-                    ok = False
-                    break
-            elif phi.lo[u] > t:
-                ok = False
-                break
-        if ok:
-            out.append(v)
-    return out
 
+    def __init__(
+        self, g: Graph, b: int, tree: RootedTree, corder: ColorOrder | None = None
+    ) -> None:
+        n = g.n
+        self.g, self.b, self.tree = g, b, tree
+        self.corder = color_order(n, b) if corder is None else corder
+        self.step = self.corder.step_base_segment
+        if len(self.step) != n or any(not 0 <= t < n for t in self.step):
+            raise ValueError("color order does not match the graph")
+        self.width = [segment_width(tree, v) for v in range(n)]
+        self.adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
+        rows = [[0] * (max(self.step, default=-1) + 2)]
+        for t in reversed(self.step):
+            row = rows[-1][:]
+            row[t] += 1
+            rows.append(row)
+        self.slots = rows[::-1]
+        self._c_arrays = None
 
-def extend(s: SearchState, v: int, t: int) -> SearchState:
-    assert s.assigned[v] is None, "vertex already defined"
-    new = list(s.assigned)
-    new[v] = t
-    return SearchState(tuple(new))
-
-
-def encode_state(s: SearchState, phi: SegmentAssignment) -> int:
-    """Injective packed key: 3 bits per vertex, 0 for undefined, else
-    1 + offset of the base segment inside the vertex's segment."""
-    key = 0
-    for v, t in enumerate(s.assigned):
-        if t is not None:
-            key |= (1 + t - phi.lo[v]) << (3 * v)
-    return key
-
-
-def decode_state(key: int, phi: SegmentAssignment) -> SearchState:
-    assigned: list[int | None] = []
-    for v in range(phi.n):
-        code = (key >> (3 * v)) & 0b111
-        assigned.append(None if code == 0 else phi.lo[v] + code - 1)
-    return SearchState(tuple(assigned))
+    def c_arrays(self):
+        """The ctypes arguments of bw_dfs that every run shares, plus
+        the lo, path and out buffers that each run overwrites."""
+        if self._c_arrays is None:
+            n = self.g.n
+            ints = ctypes.c_int * n
+            self._c_arrays = (
+                (ctypes.c_uint64 * n)(*self.adj), ints(), ints(*self.width),
+                ints(*self.step), ints(), (ctypes.c_uint64 * 2)(),
+            )
+        return self._c_arrays
 
 
 def dfs_decide(
@@ -134,49 +106,54 @@ def dfs_decide(
     b: int,
     max_states: int = DEFAULT_MAX_STATES,
     deadline: float | None = None,
-    corder: ColorOrder | None = None,
+    plan: SearchPlan | None = None,
 ) -> tuple[str, list[int] | None, SearchStats]:
     """Search for an ordering of bandwidth <= b consistent with phi.
 
     Returns (YES, ordering, stats) on success, (NO, None, stats) when
     the state space is exhausted, or (UNKNOWN, None, stats) when a
     resource cap fires. The visited set belongs to this run only.
+    `plan` is the SearchPlan of (g, b, phi.tree); one is built when it
+    is not given.
 
     Runs the compiled kernel (see _kernel.c) when it is available and
     1 <= n <= C_KERNEL_MAX_N, and the Python loop otherwise; both visit
     the same states in the same order. Raises WitnessError rather than
     return an ordering that fails the bandwidth check.
     """
+    if plan is None:
+        plan = SearchPlan(g, b, phi.tree)
+    elif plan.g is not g or plan.b != b or plan.tree is not phi.tree:
+        raise ValueError("search plan built for another graph, b or tree")
     n = g.n
-    if corder is None:
-        corder = color_order(n, b)
-    hi = [phi.hi(v) for v in range(n)]
     kernel = _c_kernel() if 0 < n <= C_KERNEL_MAX_N else None
-    args = (g, phi.lo, hi, corder.step_base_segment, max_states, deadline)
+    args = (plan, phi.lo, max_states, deadline)
     status, path, stats = _dfs_python(*args) if kernel is None else _dfs_c(kernel, *args)
     stats.result = status
     if status != YES:
         return status, None, stats
     pos = [0] * n
     for k, v in enumerate(path):
-        pos[v] = corder.sequence[k]
+        pos[v] = plan.corder.sequence[k]
     if ordering_bandwidth(g, pos) > b:
         raise WitnessError(f"{stats.kernel} kernel returned an ordering of bandwidth > {b}")
     return YES, pos, stats
 
 
-def _dfs_python(g, lo, hi, step, max_states, deadline):
-    """The reference kernel: recursive DFS over states keyed like
-    encode_state. Returns (status, path, stats), path[d] being the
-    vertex placed at step d."""
-    n = g.n
-    adj = g.adj
+def _dfs_python(plan, lo, max_states, deadline):
+    """The reference kernel: recursive DFS over states keyed by 3 bits
+    per vertex, 0 for unassigned, else 1 + the offset of its base
+    segment inside its segment. Returns (status, path, stats), path[d]
+    being the vertex placed at step d."""
+    n = plan.g.n
+    adj, adj_mask, step, slots = plan.g.adj, plan.adj, plan.step, plan.slots
+    hi = [l + w for l, w in zip(lo, plan.width)]
     assigned = [-1] * n
     path: list[int] = []
     visited = {0}
     stats = SearchStats(states_visited=1, kernel="python")
 
-    def visit(key: int, depth: int) -> bool:
+    def visit(key: int, depth: int, ok: list[int], unplaced: int) -> bool:
         if depth > stats.depth_max:
             stats.depth_max = depth
         if depth == n:
@@ -187,20 +164,24 @@ def _dfs_python(g, lo, hi, step, max_states, deadline):
         for v in range(n):
             if assigned[v] >= 0 or not (lo[v] <= t < hi[v]):
                 continue
-            ok = True
+            fits = True
             for u in adj[v]:
                 k = assigned[u]
                 if k >= 0:
                     if not (k - 1 <= t <= k):
-                        ok = False
+                        fits = False
                         break
                 elif lo[u] > t:
-                    ok = False
+                    fits = False
                     break
-            if not ok:
+            if not fits:
                 continue
             child = key | (1 + t - lo[v]) << (3 * v)
             if child in visited:
+                continue
+            rest = unplaced & ~(1 << v)
+            child_ok = _hall_child(ok, rest, adj_mask[v], t, slots[depth + 1])
+            if child_ok is None:
                 continue
             if len(visited) >= max_states:
                 raise BudgetExhausted("state budget exhausted")
@@ -208,17 +189,47 @@ def _dfs_python(g, lo, hi, step, max_states, deadline):
             stats.states_visited += 1
             assigned[v] = t
             path.append(v)
-            if visit(child, depth + 1):
+            if visit(child, depth + 1, child_ok, rest):
                 return True
             path.pop()
             assigned[v] = -1
         return False
 
+    ok = [sum(1 << v for v in range(n) if lo[v] <= s < hi[v]) for s in range(len(slots[0]) - 1)]
     try:
-        found = visit(0, 0)
+        found = visit(0, 0, ok, (1 << n) - 1)
     except BudgetExhausted:
         return UNKNOWN, None, stats
     return (YES, path, stats) if found else (NO, None, stats)
+
+
+def _hall_child(ok, unplaced, nbrs, t, slots):
+    """The child's masks, or None when the child state fails the
+    Hall-count test; hall() in _kernel.c states the rule. ok[s] holds
+    the parent's unassigned vertices that may still take base segment
+    s, nbrs the placed vertex's neighbours, t its base segment and
+    `unplaced` the child's unassigned set."""
+    far = unplaced & ~nbrs
+    nok = [m & far for m in ok]
+    for s in (t - 1, t):
+        if s >= 0:
+            nok[s] = ok[s] & unplaced
+    live = [m if c else 0 for m, c in zip(nok, slots)]
+    live.append(0)
+    suf = live[:] + [0]  # suf[s]: the union of live[s:]
+    for s in range(len(nok) - 1, -1, -1):
+        suf[s] |= suf[s + 1]
+    if unplaced & ~suf[0]:
+        return None
+    pre = 0
+    for s in range(len(nok)):
+        m = live[s]
+        if (m & ~(pre | suf[s + 1])).bit_count() > slots[s]:
+            return None
+        if ((m | live[s + 1]) & ~(pre | suf[s + 2])).bit_count() > slots[s] + slots[s + 1]:
+            return None
+        pre |= m
+    return nok
 
 
 # bw_dfs return codes; running out of memory is UNKNOWN like any cap.
@@ -226,28 +237,19 @@ _C_STATUS = (NO, YES, UNKNOWN, UNKNOWN)
 _U64_MAX = (1 << 64) - 1
 
 
-def _dfs_c(kernel, g, lo, hi, step, max_states, deadline):
+def _dfs_c(kernel, plan, lo, max_states, deadline):
     """The compiled kernel behind the same (status, path, stats) contract."""
-    n = g.n
-    if min(step) < 0 or max(step) >= n:  # the kernel indexes per-segment masks by step
-        raise ValueError("color order does not match the graph")
-    ints = ctypes.c_int * n
-    path = ints()
-    out = (ctypes.c_uint64 * 2)()
+    adj, c_lo, width, step, path, out = plan.c_arrays()
+    c_lo[:] = lo
     code = kernel(
-        n,
-        (ctypes.c_uint64 * n)(*[sum(1 << u for u in nbrs) for nbrs in g.adj]),
-        ints(*lo),
-        ints(*hi),
-        ints(*step),
+        len(lo), adj, c_lo, width, step,
         max(0, min(max_states, _U64_MAX)),
         math.inf if deadline is None else deadline,
-        path,
-        out,
+        path, out,
     )
     status = _C_STATUS[code]
     stats = SearchStats(states_visited=out[0], depth_max=out[1], kernel="c")
-    return status, list(path) if status == YES else None, stats
+    return status, path[:] if status == YES else None, stats
 
 
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")

@@ -12,7 +12,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .assignments import SegmentAssignment, enumerate_assignments
+from .assignments import SegmentAssignment, edge_filter, enumerate_assignments
 from .geometry import color_order
 from .graph import (
     Graph,
@@ -27,6 +27,7 @@ from .search import (
     NO,
     UNKNOWN,
     YES,
+    SearchPlan,
     WitnessError,
     dfs_decide,
     per_run_state_ceiling,
@@ -41,21 +42,16 @@ class Budget:
 
     max_states: int = DEFAULT_MAX_STATES
     max_seconds: float | None = None
-    max_visited: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_states <= 0:
             raise ValueError("max_states must be positive")
         if self.max_seconds is not None and self.max_seconds <= 0:
             raise ValueError("max_seconds must be positive")
-        if self.max_visited is not None and self.max_visited <= 0:
-            raise ValueError("max_visited must be positive")
 
-    @property
-    def per_run_cap(self) -> int:
-        if self.max_visited is None:
-            return self.max_states
-        return min(self.max_states, self.max_visited)
+    def deadline(self) -> float | None:
+        """The time.monotonic() instant max_seconds from now, if set."""
+        return None if self.max_seconds is None else time.monotonic() + self.max_seconds
 
 
 @dataclass
@@ -118,13 +114,15 @@ def decide(
     root: int = 0,
     workers: int = 1,
     prune: bool = True,
+    deadline: float | None = None,
 ) -> DecideResult:
     """Does g admit an ordering of bandwidth <= b?
 
     Streams segment assignments over the BFS spanning tree through the
     edge filter into the state search. First witness wins; "no" means
     all accepted assignments were exhausted; "unknown" means a budget
-    cap fired before either.
+    cap fired before either. `deadline` is an absolute time.monotonic()
+    instant; without one, the budget's max_seconds counts from now.
     """
     if not (0 <= root < g.n):
         raise GraphError(f"root {root} out of range")
@@ -139,28 +137,27 @@ def decide(
         leaf_count=tree.leaf_count,
         per_run_ceiling=per_run_state_ceiling(g.n, tree.leaf_count),
     )
-    deadline = None
-    if budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
+    if deadline is None:
+        deadline = budget.deadline()
 
     if workers > 1:
         return _decide_parallel(g, b, budget, tree, stats, deadline, workers, prune)
 
-    corder = color_order(g.n, b)
+    plan = SearchPlan(g, b, tree, color_order(g.n, b))
     unknown_seen = False
     stream = enumerate_assignments(tree, g.n, b, graph=g if prune else None)
     for phi in stream:
         stats.assignments_generated += 1
-        if not prune and not _passes_filter(phi, g):
+        if not prune and not edge_filter(phi, g):
             continue
         stats.assignments_accepted += 1
         if deadline is not None and time.monotonic() > deadline:
             return DecideResult(UNKNOWN, None, stats)
         status, pos, run = dfs_decide(
             phi, g, b,
-            max_states=budget.per_run_cap,
+            max_states=budget.max_states,
             deadline=deadline,
-            corder=corder,
+            plan=plan,
         )
         stats.record_run(run.states_visited, run.kernel)
         if status == YES:
@@ -170,12 +167,6 @@ def decide(
     return DecideResult(UNKNOWN if unknown_seen else NO, None, stats)
 
 
-def _passes_filter(phi: SegmentAssignment, g: Graph) -> bool:
-    from .assignments import edge_filter
-
-    return edge_filter(phi, g)
-
-
 # Worker-process context for parallel decide; set once per worker.
 _CTX: dict = {}
 
@@ -183,10 +174,8 @@ _CTX: dict = {}
 def _init_worker(n, edges, b, root, parent, children, max_states, deadline):
     g = Graph(n, edges)
     tree = RootedTree(root, list(parent), [list(c) for c in children])
-    _CTX.update(
-        g=g, tree=tree, b=b, corder=color_order(n, b), max_states=max_states,
-        deadline=deadline,
-    )
+    plan = SearchPlan(g, b, tree, color_order(n, b))
+    _CTX.update(g=g, tree=tree, b=b, plan=plan, max_states=max_states, deadline=deadline)
 
 
 def _run_assignment(lo: tuple[int, ...]):
@@ -195,7 +184,7 @@ def _run_assignment(lo: tuple[int, ...]):
         phi, _CTX["g"], _CTX["b"],
         max_states=_CTX["max_states"],
         deadline=_CTX["deadline"],
-        corder=_CTX["corder"],
+        plan=_CTX["plan"],
     )
     return status, pos, run.states_visited, run.kernel
 
@@ -208,7 +197,7 @@ def _decide_parallel(g, b, budget, tree, stats, deadline, workers, prune):
     def accepted_lo():
         for phi in stream:
             stats.assignments_generated += 1
-            if prune or _passes_filter(phi, g):
+            if prune or edge_filter(phi, g):
                 stats.assignments_accepted += 1
                 yield phi.lo
 
@@ -219,7 +208,7 @@ def _decide_parallel(g, b, budget, tree, stats, deadline, workers, prune):
         initializer=_init_worker,
         initargs=(
             g.n, sorted(g.edges), b, tree.root, tree.parent,
-            [list(c) for c in tree.children], budget.per_run_cap, deadline,
+            [list(c) for c in tree.children], budget.max_states, deadline,
         ),
     ) as pool:
         for status, pos, visited, kernel in pool.imap(_run_assignment, accepted_lo(), chunksize=4):
@@ -305,10 +294,12 @@ def minimize_bandwidth(
 
     Components are solved independently (binary search on b per
     component) and composed into consecutive position blocks, larger
-    components first.
+    components first. The budget's max_seconds bounds the whole solve:
+    every decide gets the same deadline.
     """
     if budget is None:
         budget = Budget()
+    deadline = budget.deadline()
     comps = connected_components(g)
     comps.sort(key=lambda cm: (-cm[0].n, cm[1]))
     final_pos = [0] * g.n
@@ -322,7 +313,7 @@ def minimize_bandwidth(
         # Root flag refers to original labels; fall back to 0 when the
         # requested root lies in another component.
         comp_root = orig.index(root) if root in orig else 0
-        cres = _solve_component(comp, budget, comp_root, workers, agg)
+        cres = _solve_component(comp, budget, deadline, comp_root, workers, agg)
         if cres.status == UNKNOWN:
             status = UNKNOWN
             brackets.append({"component_size": comp.n, "bracket": cres.stats["bracket"]})
@@ -341,7 +332,8 @@ def minimize_bandwidth(
 
 
 def _solve_component(
-    comp: Graph, budget: Budget, root: int, workers: int, agg: DecideStats
+    comp: Graph, budget: Budget, deadline: float | None, root: int, workers: int,
+    agg: DecideStats,
 ) -> SolveResult:
     n = comp.n
     if n == 1:
@@ -353,7 +345,7 @@ def _solve_component(
     hi = min(best_b, n - 1) - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        res = decide(comp, mid, budget, root=root, workers=workers)
+        res = decide(comp, mid, budget, root=root, workers=workers, deadline=deadline)
         agg.merge(res.stats)
         if res.status == YES:
             best_b = mid

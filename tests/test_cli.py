@@ -27,7 +27,11 @@ class TestDecide:
         assert json.loads(capsys.readouterr().out)["status"] == "no"
 
     def test_unknown_exit_2(self, tmp_path, capsys):
-        path = write(tmp_path, "k4.g", generate("complete", 4))
+        # The star K(1,5) has bandwidth 3; its "no" runs at b=2 take
+        # dozens of states.
+        path = write(tmp_path, "star5.g", generate("star", 5))
+        assert main(["decide", path, "--b", "2"]) == 1
+        capsys.readouterr()
         code = main(["decide", path, "--b", "2", "--max-states", "2", "--json"])
         assert code == 2
         assert json.loads(capsys.readouterr().out)["status"] == "unknown"

@@ -9,6 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_b_orderings, connected_graphs
+from reference_search import (
+    SearchState,
+    decode_state,
+    encode_state,
+    extend,
+    extend_candidates,
+    unpruned_dfs,
+)
 
 from bwexact.assignments import (
     SegmentAssignment,
@@ -17,21 +25,16 @@ from bwexact.assignments import (
     enumerate_assignments,
 )
 from bwexact import search
-from bwexact.geometry import color_order
 from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
 from bwexact.search import (
     C_KERNEL_MAX_N,
     NO,
     UNKNOWN,
     YES,
-    SearchState,
+    SearchPlan,
     SearchStats,
     WitnessError,
-    decode_state,
     dfs_decide,
-    encode_state,
-    extend,
-    extend_candidates,
     per_run_state_ceiling,
 )
 
@@ -135,12 +138,21 @@ class TestDfsDecide:
             assert status == NO and pos is None
 
     def test_budget_exhaustion_is_unknown(self):
-        g = generate("complete", 5)
+        # The star K(1,7) has bandwidth 4; proving "no" at b=3 for its
+        # first assignment takes hundreds of states.
+        g = generate("star", 7)
         tree = spanning_tree(g, 0)
-        phi = next(enumerate_assignments(tree, 5, 3))
+        phi = next(enumerate_assignments(tree, g.n, 3, graph=g))
+        assert dfs_decide(phi, g, 3)[2].states_visited > 2
         status, pos, stats = dfs_decide(phi, g, 3, max_states=2)
         assert status == UNKNOWN and pos is None
         assert stats.result == UNKNOWN
+
+    def test_plan_for_another_tree_rejected(self):
+        g = generate("cycle", 6)
+        phi = next(enumerate_assignments(spanning_tree(g, 0), 6, 2, graph=g))
+        with pytest.raises(ValueError):
+            dfs_decide(phi, g, 2, plan=SearchPlan(g, 2, spanning_tree(g, 1)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_per_run_state_bound(self, seed):
@@ -204,15 +216,40 @@ def assert_kernels_agree(g, b, limit=None, **kw):
     """Both kernels give the same outcome on every accepted assignment
     (the first `limit` ones if given); returns how many were compared."""
     tree = spanning_tree(g, 0)
-    corder = color_order(g.n, b)
+    plan = SearchPlan(g, b, tree)
     stream = enumerate_assignments(tree, g.n, b, graph=g)
     compared = 0
     for phi in itertools.islice(stream, limit):
-        c = outcome(c_kernel(phi, g, b, corder=corder, **kw))
-        p = outcome(python_kernel(phi, g, b, corder=corder, **kw))
+        c = outcome(c_kernel(phi, g, b, plan=plan, **kw))
+        p = outcome(python_kernel(phi, g, b, plan=plan, **kw))
         assert c == p, (g, b, phi.lo)
         compared += 1
     return compared
+
+
+def assert_matches_reference(g, b, limit=None):
+    """Both kernels give the unpruned reference's status and witness on
+    every accepted assignment (the first `limit` ones if given), in no
+    more states; returns how many were compared."""
+    tree = spanning_tree(g, 0)
+    plan = SearchPlan(g, b, tree)
+    stream = enumerate_assignments(tree, g.n, b, graph=g)
+    compared = 0
+    for phi in itertools.islice(stream, limit):
+        found, want_pos, want_states = unpruned_dfs(phi, g, b)
+        for kernel in (c_kernel, python_kernel):
+            status, pos, stats = kernel(phi, g, b, plan=plan)
+            assert (status, pos) == (YES if found else NO, want_pos), (g, b, phi.lo)
+            assert stats.states_visited <= want_states, (g, b, phi.lo)
+        compared += 1
+    return compared
+
+
+def acceptance_corpus():
+    """The graphs of acceptance criterion 1: all connected graphs with
+    n <= 5 and 200 seeded G(n, 0.4), n in 6..8."""
+    graphs = [g for n in range(2, 6) for g in connected_graphs(n)]
+    return graphs + [generate("random_gnp", 6 + i % 3, 0.4, seed=10_000 + i) for i in range(200)]
 
 
 @pytest.fixture(scope="module")
@@ -235,11 +272,8 @@ def fresh_loader():
 @pytest.mark.usefixtures("compiled_kernel")
 class TestKernelEquivalence:
     def test_acceptance_corpus(self):
-        # The graphs of acceptance criterion 1: all connected graphs with
-        # n <= 5 and 200 seeded G(n, 0.4), n in 6..8; every b, every
-        # accepted assignment.
-        graphs = [g for n in range(2, 6) for g in connected_graphs(n)]
-        graphs += [generate("random_gnp", 6 + i % 3, 0.4, seed=10_000 + i) for i in range(200)]
+        # Every b, every accepted assignment.
+        graphs = acceptance_corpus()
         compared = sum(assert_kernels_agree(g, b) for g in graphs for b in range(1, g.n))
         assert compared > 10_000
 
@@ -264,7 +298,8 @@ class TestKernelEquivalence:
             c = outcome(c_kernel(phi, g, b, max_states=max_states))
             assert c == outcome(python_kernel(phi, g, b, max_states=max_states))
             full = c_kernel(phi, g, b)[2].states_visited
-            if full > max_states:
+            # The root is always counted, so a cap of 0 acts as 1.
+            if full > max(max_states, 1):
                 assert c[0] == UNKNOWN and c[2] == max(max_states, 1)
 
     def test_state_cap_over_corpus(self):
@@ -285,6 +320,29 @@ class TestKernelEquivalence:
     def test_future_deadline_changes_nothing(self):
         g = generate("random_gnp", 9, 0.4, seed=1)
         assert_kernels_agree(g, 3, limit=30, deadline=time.monotonic() + 600)
+
+
+@pytest.mark.usefixtures("compiled_kernel")
+class TestUnprunedReference:
+    """The feasibility prune drops only states with no completion, so
+    answers and witnesses are those of the search without it."""
+
+    def test_acceptance_corpus(self):
+        graphs = acceptance_corpus()
+        compared = sum(assert_matches_reference(g, b) for g in graphs for b in range(1, g.n))
+        assert compared > 10_000
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        p=st.floats(0.3, 0.9),
+        seed=st.integers(0, 10_000),
+        data=st.data(),
+    )
+    def test_random_gnp(self, n, p, seed, data):
+        g = generate("random_gnp", n, p, seed=seed)
+        b = data.draw(st.integers(1, n - 1))
+        assert_matches_reference(g, b, limit=40)
 
 
 class TestKernelFallback:

@@ -47,8 +47,11 @@ class TestDecide:
             assert feasible == sorted(feasible)
 
     def test_budget_exhaustion_reports_unknown(self):
-        g = generate("complete", 6)
-        res = decide(g, 4, Budget(max_states=3))
+        # The star K(1,7) has bandwidth 4; each "no" run at b=3 that is
+        # not answered at the root takes hundreds of states.
+        g = generate("star", 7)
+        assert decide(g, 3).stats.states_max_run > 3
+        res = decide(g, 3, Budget(max_states=3))
         assert res.status == UNKNOWN and res.ordering is None
 
     def test_preconditions(self):
@@ -137,6 +140,33 @@ class TestMinimize:
         monkeypatch.setattr(solve, "decide", lying_decide)
         with pytest.raises(WitnessError):
             minimize_bandwidth(generate("cycle", 5))
+
+    def test_one_deadline_per_solve(self, monkeypatch):
+        # A solve of two components makes several decide calls; every
+        # search run must get the deadline fixed when the solve began.
+        deadlines, call_times, decides = [], [], []
+        real_decide, real_dfs = solve.decide, solve.dfs_decide
+
+        def counting_decide(*args, **kwargs):
+            decides.append(1)
+            return real_decide(*args, **kwargs)
+
+        def recording_dfs(*args, **kwargs):
+            call_times.append(time.monotonic())
+            deadlines.append(kwargs["deadline"])
+            return real_dfs(*args, **kwargs)
+
+        monkeypatch.setattr(solve, "decide", counting_decide)
+        monkeypatch.setattr(solve, "dfs_decide", recording_dfs)
+        a = generate("random_gnp", 8, 0.5, seed=1)
+        b = generate("cycle", 7)
+        g = Graph(15, list(a.edges) + [(u + 8, v + 8) for u, v in b.edges])
+        start = time.monotonic()
+        res = minimize_bandwidth(g, Budget(max_seconds=60))
+        assert res.status == OPTIMAL
+        assert len(decides) >= 3
+        assert len(set(deadlines)) == 1
+        assert start + 60 <= deadlines[0] <= call_times[0] + 60
 
     def test_kernel_in_stats(self):
         assert minimize_bandwidth(generate("cycle", 6)).stats["kernel"] in ("c", "python")
