@@ -17,11 +17,12 @@ import hashlib
 import math
 import os
 import shutil
+import threading
 import time
 from dataclasses import dataclass
 
 from .assignments import SegmentAssignment, segment_width
-from .geometry import ColorOrder, color_order
+from .geometry import color_order
 from .graph import Graph, RootedTree, ordering_bandwidth
 
 DEFAULT_MAX_STATES = 1 << 26
@@ -60,7 +61,8 @@ class SearchStats:
 
 class SearchPlan:
     """The phase-2 inputs that depend only on the graph, b and the
-    spanning tree: built once per decide and shared by all its runs.
+    spanning tree, shared by every run over the same three; dfs_decide
+    keeps the last one built on each thread (see _plan_for).
 
     step[d] is the base segment filled at depth d, width[v] the width of
     v's segment, adj[v] v's neighbours as a bitmask, and slots[d][s] the
@@ -68,16 +70,11 @@ class SearchPlan:
     an extra 0).
     """
 
-    def __init__(
-        self, g: Graph, b: int, tree: RootedTree, corder: ColorOrder | None = None
-    ) -> None:
-        n = g.n
+    def __init__(self, g: Graph, b: int, tree: RootedTree) -> None:
         self.g, self.b, self.tree = g, b, tree
-        self.corder = color_order(n, b) if corder is None else corder
+        self.corder = color_order(g.n, b)
         self.step = self.corder.step_base_segment
-        if len(self.step) != n or any(not 0 <= t < n for t in self.step):
-            raise ValueError("color order does not match the graph")
-        self.width = [segment_width(tree, v) for v in range(n)]
+        self.width = [segment_width(tree, v) for v in range(g.n)]
         self.adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
         rows = [[0] * (max(self.step, default=-1) + 2)]
         for t in reversed(self.step):
@@ -106,25 +103,19 @@ def dfs_decide(
     b: int,
     max_states: int = DEFAULT_MAX_STATES,
     deadline: float | None = None,
-    plan: SearchPlan | None = None,
 ) -> tuple[str, list[int] | None, SearchStats]:
     """Search for an ordering of bandwidth <= b consistent with phi.
 
     Returns (YES, ordering, stats) on success, (NO, None, stats) when
     the state space is exhausted, or (UNKNOWN, None, stats) when a
     resource cap fires. The visited set belongs to this run only.
-    `plan` is the SearchPlan of (g, b, phi.tree); one is built when it
-    is not given.
 
     Runs the compiled kernel (see _kernel.c) when it is available and
     1 <= n <= C_KERNEL_MAX_N, and the Python loop otherwise; both visit
     the same states in the same order. Raises WitnessError rather than
     return an ordering that fails the bandwidth check.
     """
-    if plan is None:
-        plan = SearchPlan(g, b, phi.tree)
-    elif plan.g is not g or plan.b != b or plan.tree is not phi.tree:
-        raise ValueError("search plan built for another graph, b or tree")
+    plan = _plan_for(g, b, phi.tree)
     n = g.n
     kernel = _c_kernel() if 0 < n <= C_KERNEL_MAX_N else None
     args = (plan, phi.lo, max_states, deadline)
@@ -138,6 +129,19 @@ def dfs_decide(
     if ordering_bandwidth(g, pos) > b:
         raise WitnessError(f"{stats.kernel} kernel returned an ordering of bandwidth > {b}")
     return YES, pos, stats
+
+
+# The last SearchPlan built on each thread: the runs of one decide share
+# their graph, b and tree, and a plan's run buffers must not be shared
+# across threads.
+_plans = threading.local()
+
+
+def _plan_for(g: Graph, b: int, tree: RootedTree) -> SearchPlan:
+    plan = getattr(_plans, "last", None)
+    if plan is None or plan.g is not g or plan.b != b or plan.tree is not tree:
+        plan = _plans.last = SearchPlan(g, b, tree)
+    return plan
 
 
 def _dfs_python(plan, lo, max_states, deadline):
@@ -207,28 +211,42 @@ def _hall_child(ok, unplaced, nbrs, t, slots):
     """The child's masks, or None when the child state fails the
     Hall-count test; hall() in _kernel.c states the rule. ok[s] holds
     the parent's unassigned vertices that may still take base segment
-    s, nbrs the placed vertex's neighbours, t its base segment and
-    `unplaced` the child's unassigned set."""
-    far = unplaced & ~nbrs
-    nok = [m & far for m in ok]
-    for s in (t - 1, t):
-        if s >= 0:
-            nok[s] = ok[s] & unplaced
-    live = [m if c else 0 for m, c in zip(nok, slots)]
-    live.append(0)
-    suf = live[:] + [0]  # suf[s]: the union of live[s:]
-    for s in range(len(nok) - 1, -1, -1):
-        suf[s] |= suf[s + 1]
-    if unplaced & ~suf[0]:
+    s, plus bits of assigned ones that are masked off here with
+    `unplaced`, the child's unassigned set; nbrs is the placed vertex's
+    neighbours and t its base segment. The masks are copied only when
+    the placed vertex has unassigned neighbours."""
+    near = nbrs & unplaced
+    if near:
+        nok = [m & ~near for m in ok]
+        for s in (t - 1, t):
+            if s >= 0:
+                nok[s] = ok[s]
+    else:
+        nok = ok
+    # The vertices in at least one, two and three of the live masks
+    # (those of base segments with steps left).
+    once = twice = thrice = 0
+    for m, c in zip(nok, slots):
+        if c:
+            m &= unplaced
+            thrice |= twice & m
+            twice |= once & m
+            once |= m
+    if unplaced & ~once:
         return None
-    pre = 0
-    for s in range(len(nok)):
-        m = live[s]
-        if (m & ~(pre | suf[s + 1])).bit_count() > slots[s]:
+    prev = prev_single = prev_c = 0
+    for m, c in zip(nok, slots):
+        if not c:
+            prev_c = 0
+            continue
+        m &= unplaced
+        single = (m & ~twice).bit_count()  # A(w) = {s}
+        if single > c:
             return None
-        if ((m | live[s + 1]) & ~(pre | suf[s + 2])).bit_count() > slots[s] + slots[s + 1]:
+        # A(w) inside {s - 1, s}: single at s or s - 1, or exactly these two.
+        if prev_c and single + prev_single + (m & prev & ~thrice).bit_count() > c + prev_c:
             return None
-        pre |= m
+        prev, prev_single, prev_c = m, single, c
     return nok
 
 

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .assignments import SegmentAssignment, edge_filter, enumerate_assignments
-from .geometry import color_order
+from .geometry import color_order  # noqa: F401 (perfbench/spans.py wraps solve.color_order)
 from .graph import (
     Graph,
     GraphError,
@@ -27,7 +27,6 @@ from .search import (
     NO,
     UNKNOWN,
     YES,
-    SearchPlan,
     WitnessError,
     dfs_decide,
     per_run_state_ceiling,
@@ -143,7 +142,6 @@ def decide(
     if workers > 1:
         return _decide_parallel(g, b, budget, tree, stats, deadline, workers, prune)
 
-    plan = SearchPlan(g, b, tree, color_order(g.n, b))
     unknown_seen = False
     stream = enumerate_assignments(tree, g.n, b, graph=g if prune else None)
     for phi in stream:
@@ -157,7 +155,6 @@ def decide(
             phi, g, b,
             max_states=budget.max_states,
             deadline=deadline,
-            plan=plan,
         )
         stats.record_run(run.states_visited, run.kernel)
         if status == YES:
@@ -174,8 +171,7 @@ _CTX: dict = {}
 def _init_worker(n, edges, b, root, parent, children, max_states, deadline):
     g = Graph(n, edges)
     tree = RootedTree(root, list(parent), [list(c) for c in children])
-    plan = SearchPlan(g, b, tree, color_order(n, b))
-    _CTX.update(g=g, tree=tree, b=b, plan=plan, max_states=max_states, deadline=deadline)
+    _CTX.update(g=g, tree=tree, b=b, max_states=max_states, deadline=deadline)
 
 
 def _run_assignment(lo: tuple[int, ...]):
@@ -184,7 +180,6 @@ def _run_assignment(lo: tuple[int, ...]):
         phi, _CTX["g"], _CTX["b"],
         max_states=_CTX["max_states"],
         deadline=_CTX["deadline"],
-        plan=_CTX["plan"],
     )
     return status, pos, run.states_visited, run.kernel
 

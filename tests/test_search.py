@@ -26,12 +26,12 @@ from bwexact.assignments import (
 )
 from bwexact import search
 from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
+from bwexact.solve import decide
 from bwexact.search import (
     C_KERNEL_MAX_N,
     NO,
     UNKNOWN,
     YES,
-    SearchPlan,
     SearchStats,
     WitnessError,
     dfs_decide,
@@ -148,12 +148,6 @@ class TestDfsDecide:
         assert status == UNKNOWN and pos is None
         assert stats.result == UNKNOWN
 
-    def test_plan_for_another_tree_rejected(self):
-        g = generate("cycle", 6)
-        phi = next(enumerate_assignments(spanning_tree(g, 0), 6, 2, graph=g))
-        with pytest.raises(ValueError):
-            dfs_decide(phi, g, 2, plan=SearchPlan(g, 2, spanning_tree(g, 1)))
-
     @pytest.mark.parametrize("seed", range(6))
     def test_per_run_state_bound(self, seed):
         g = generate("random_gnp", 8, 0.35, seed=seed)
@@ -181,6 +175,34 @@ class TestDfsDecide:
                 if status == YES:
                     assert ordering_bandwidth(g, pos) <= b
                     assert consistency_witness(phi, pos)
+
+    def test_one_plan_per_decide(self, monkeypatch):
+        built = []
+
+        class CountingPlan(search.SearchPlan):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(search, "SearchPlan", CountingPlan)
+        res = decide(generate("random_gnp", 10, 0.4, seed=2), 3)
+        assert res.stats.runs > 1
+        assert len(built) == 1
+
+    def test_interleaved_trees_get_their_own_plan(self):
+        # Runs over two spanning trees of one graph, in mixed order: each
+        # must search its own tree's segments.
+        g = generate("random_gnp", 8, 0.4, seed=4)
+        phis = [
+            phi
+            for root in (0, 5)
+            for phi in itertools.islice(enumerate_assignments(spanning_tree(g, root), 8, 3, graph=g), 20)
+        ]
+        random.Random(0).shuffle(phis)
+        for phi in phis:
+            found, want_pos, _ = unpruned_dfs(phi, g, 3)
+            status, pos, _ = dfs_decide(phi, g, 3)
+            assert (status, pos) == (YES if found else NO, want_pos), phi.lo
 
     def test_depth_equals_n_on_success(self):
         g = generate("cycle", 6)
@@ -216,12 +238,11 @@ def assert_kernels_agree(g, b, limit=None, **kw):
     """Both kernels give the same outcome on every accepted assignment
     (the first `limit` ones if given); returns how many were compared."""
     tree = spanning_tree(g, 0)
-    plan = SearchPlan(g, b, tree)
     stream = enumerate_assignments(tree, g.n, b, graph=g)
     compared = 0
     for phi in itertools.islice(stream, limit):
-        c = outcome(c_kernel(phi, g, b, plan=plan, **kw))
-        p = outcome(python_kernel(phi, g, b, plan=plan, **kw))
+        c = outcome(c_kernel(phi, g, b, **kw))
+        p = outcome(python_kernel(phi, g, b, **kw))
         assert c == p, (g, b, phi.lo)
         compared += 1
     return compared
@@ -232,13 +253,12 @@ def assert_matches_reference(g, b, limit=None):
     every accepted assignment (the first `limit` ones if given), in no
     more states; returns how many were compared."""
     tree = spanning_tree(g, 0)
-    plan = SearchPlan(g, b, tree)
     stream = enumerate_assignments(tree, g.n, b, graph=g)
     compared = 0
     for phi in itertools.islice(stream, limit):
         found, want_pos, want_states = unpruned_dfs(phi, g, b)
         for kernel in (c_kernel, python_kernel):
-            status, pos, stats = kernel(phi, g, b, plan=plan)
+            status, pos, stats = kernel(phi, g, b)
             assert (status, pos) == (YES if found else NO, want_pos), (g, b, phi.lo)
             assert stats.states_visited <= want_states, (g, b, phi.lo)
         compared += 1
