@@ -21,7 +21,7 @@ from .assignments import (
     enumerate_assignments,
     max_assignments,
 )
-from .geometry import ColorOrder, Segment, color_of, color_order, segment_of
+from .geometry import ColorOrder, color_of, color_order, segment_of
 from .graph import (
     Graph,
     GraphError,
@@ -54,7 +54,6 @@ __all__ = [
     "McWeights",
     "RootedTree",
     "SearchStats",
-    "Segment",
     "SegmentAssignment",
     "SolveResult",
     "color_of",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .geometry import Segment, num_base_segments
+from .geometry import num_base_segments
 from .graph import Graph, RootedTree
 
 
@@ -30,9 +30,6 @@ class SegmentAssignment:
 
     def hi(self, v: int) -> int:
         return self.lo[v] + self.width(v)
-
-    def segment(self, v: int) -> Segment:
-        return Segment(self.lo[v], self.hi(v), self.b)
 
     @property
     def n(self) -> int:
@@ -125,6 +122,10 @@ def edge_filter(phi: SegmentAssignment, g: Graph) -> bool:
 
 
 def consistency_witness(phi: SegmentAssignment, pos: list[int]) -> bool:
-    """True iff every vertex's position lies inside its assigned segment."""
-    n = phi.n
-    return all(pos[v] in phi.segment(v).positions(n) for v in range(n))
+    """True iff every vertex's position lies inside its assigned segment:
+    position p lies in 1..n and its base segment (p-1) // (b+1) in
+    lo[v] .. hi(v)-1."""
+    n, lo, b1 = phi.n, phi.lo, phi.b + 1
+    return all(
+        1 <= pos[v] <= n and lo[v] <= (pos[v] - 1) // b1 < phi.hi(v) for v in range(n)
+    )

@@ -27,42 +27,6 @@ def num_base_segments(n: int, b: int) -> int:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Consecutive positions lo*(b+1)+1 .. hi*(b+1), clipped to 1..n.
-
-    lo may be negative; the clipped set can still be nonempty.
-    """
-
-    lo: int
-    hi: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.lo >= self.hi:
-            raise ValueError(f"segment needs lo < hi, got ({self.lo}, {self.hi})")
-
-    def positions(self, n: int) -> range:
-        start = max(self.lo * (self.b + 1) + 1, 1)
-        stop = min(self.hi * (self.b + 1), n)
-        return range(start, stop + 1)
-
-    def is_empty(self, n: int) -> bool:
-        return len(self.positions(n)) == 0
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo
-
-    def contains_base(self, t: int) -> bool:
-        """Whether base segment t lies inside this segment (index level)."""
-        return self.lo <= t < self.hi
-
-
-def segment_positions(s: Segment, n: int) -> set[int]:
-    return set(s.positions(n))
-
-
-@dataclass(frozen=True)
 class ColorOrder:
     """Positions 1..n sorted by (color, base segment).
 
@@ -73,13 +37,6 @@ class ColorOrder:
 
     sequence: tuple[int, ...]
     step_base_segment: tuple[int, ...]
-
-    def inverse(self) -> list[int]:
-        """inv[p-1] = 0-based rank of position p in the color order."""
-        inv = [0] * len(self.sequence)
-        for k, p in enumerate(self.sequence):
-            inv[p - 1] = k
-        return inv
 
 
 def color_order(n: int, b: int) -> ColorOrder:

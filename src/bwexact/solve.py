@@ -6,18 +6,19 @@ oracle.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .assignments import SegmentAssignment, edge_filter, enumerate_assignments
+from .assignments import SegmentAssignment, enumerate_assignments
 from .geometry import color_order  # noqa: F401 (perfbench/spans.py wraps solve.color_order)
 from .graph import (
     Graph,
     GraphError,
-    RootedTree,
     connected_components,
     ordering_bandwidth,
     spanning_tree,
@@ -27,6 +28,7 @@ from .search import (
     NO,
     UNKNOWN,
     YES,
+    SearchStats,
     WitnessError,
     dfs_decide,
     per_run_state_ceiling,
@@ -112,17 +114,21 @@ def decide(
     budget: Budget | None = None,
     root: int = 0,
     workers: int = 1,
-    prune: bool = True,
     deadline: float | None = None,
 ) -> DecideResult:
     """Does g admit an ordering of bandwidth <= b?
 
-    Streams segment assignments over the BFS spanning tree through the
-    edge filter into the state search. First witness wins; "no" means
-    all accepted assignments were exhausted; "unknown" means a budget
-    cap fired before either. `deadline` is an absolute time.monotonic()
+    Streams the segment assignments over the BFS spanning tree that pass
+    the edge filter into the state search, one run each, in `workers`
+    forked processes when there are more than one. Results are taken in
+    stream order, so the answer, witness and counters do not depend on
+    `workers`. First witness wins; "no" means all accepted assignments
+    were exhausted; "unknown" means a budget cap fired, or a worker
+    died, before either. `deadline` is an absolute time.monotonic()
     instant; without one, the budget's max_seconds counts from now.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not (0 <= root < g.n):
         raise GraphError(f"root {root} out of range")
     if g.n < 2:
@@ -139,84 +145,122 @@ def decide(
     if deadline is None:
         deadline = budget.deadline()
 
-    if workers > 1:
-        return _decide_parallel(g, b, budget, tree, stats, deadline, workers, prune)
+    def run(phi):
+        return dfs_decide(phi, g, b, max_states=budget.max_states, deadline=deadline)
 
-    unknown_seen = False
-    stream = enumerate_assignments(tree, g.n, b, graph=g if prune else None)
-    for phi in stream:
-        stats.assignments_generated += 1
-        if not prune and not edge_filter(phi, g):
-            continue
-        stats.assignments_accepted += 1
-        if deadline is not None and time.monotonic() > deadline:
-            return DecideResult(UNKNOWN, None, stats)
-        status, pos, run = dfs_decide(
-            phi, g, b,
-            max_states=budget.max_states,
-            deadline=deadline,
+    stream = enumerate_assignments(tree, g.n, b, graph=g)
+    if workers == 1:
+        results = map(run, stream)
+    else:
+        results = _forked_runs(
+            (phi.lo for phi in stream),
+            lambda lo: run(SegmentAssignment(lo, b, tree)),
+            workers,
         )
-        stats.record_run(run.states_visited, run.kernel)
-        if status == YES:
-            return DecideResult(YES, pos, stats)
-        if status == UNKNOWN:
-            unknown_seen = True
-    return DecideResult(UNKNOWN if unknown_seen else NO, None, stats)
-
-
-# Worker-process context for parallel decide; set once per worker.
-_CTX: dict = {}
-
-
-def _init_worker(n, edges, b, root, parent, children, max_states, deadline):
-    g = Graph(n, edges)
-    tree = RootedTree(root, list(parent), [list(c) for c in children])
-    _CTX.update(g=g, tree=tree, b=b, max_states=max_states, deadline=deadline)
-
-
-def _run_assignment(lo: tuple[int, ...]):
-    phi = SegmentAssignment(lo, _CTX["b"], _CTX["tree"])
-    status, pos, run = dfs_decide(
-        phi, _CTX["g"], _CTX["b"],
-        max_states=_CTX["max_states"],
-        deadline=_CTX["deadline"],
-    )
-    return status, pos, run.states_visited, run.kernel
-
-
-def _decide_parallel(g, b, budget, tree, stats, deadline, workers, prune):
-    """Fan accepted assignments out to a process pool; results are
-    consumed in stream order so the witness matches the sequential one."""
-    stream = enumerate_assignments(tree, g.n, b, graph=g if prune else None)
-
-    def accepted_lo():
-        for phi in stream:
-            stats.assignments_generated += 1
-            if prune or edge_filter(phi, g):
-                stats.assignments_accepted += 1
-                yield phi.lo
-
-    ctx = multiprocessing.get_context("fork")
     unknown_seen = False
-    with ctx.Pool(
-        processes=workers,
-        initializer=_init_worker,
-        initargs=(
-            g.n, sorted(g.edges), b, tree.root, tree.parent,
-            [list(c) for c in tree.children], budget.max_states, deadline,
-        ),
-    ) as pool:
-        for status, pos, visited, kernel in pool.imap(_run_assignment, accepted_lo(), chunksize=4):
-            stats.record_run(visited, kernel)
+    try:
+        for status, pos, run_stats in results:
+            stats.assignments_generated += 1
+            stats.assignments_accepted += 1
+            stats.record_run(run_stats.states_visited, run_stats.kernel)
             if status == YES:
-                pool.terminate()
                 return DecideResult(YES, pos, stats)
             if status == UNKNOWN:
+                # Each run gets the deadline, and one started after it
+                # returns UNKNOWN at once, so only such runs need the check.
+                if deadline is not None and time.monotonic() > deadline:
+                    return DecideResult(UNKNOWN, None, stats)
                 unknown_seen = True
-            if deadline is not None and time.monotonic() > deadline:
-                pool.terminate()
-                return DecideResult(UNKNOWN, None, stats)
+    finally:
+        if workers > 1:
+            results.close()
     return DecideResult(UNKNOWN if unknown_seen else NO, None, stats)
+
+
+# A parallel decide sends assignments to a worker in chunks of _CHUNK,
+# with at most _CHUNKS_PER_WORKER chunks per worker ahead of its loop;
+# one assignment per message spends more time on the pipes than on
+# the search when runs are short.
+_CHUNK = 8
+_CHUNKS_PER_WORKER = 2
+# The result of a run whose worker process died.
+_LOST = (UNKNOWN, None, SearchStats(kernel=None))
+
+
+def _forked_runs(tasks, run, workers):
+    """Yield run(task) for each of `tasks`, in order, computed in
+    `workers` forked processes that each own a pipe.
+
+    Chunk i of the tasks goes to worker i % workers, so each pipe
+    answers its chunks in the order they are read back here; tasks are
+    pulled on the calling thread. A worker stops a chunk after the
+    first YES, where decide stops too. The runs of a chunk whose worker
+    died yield _LOST, and once every worker has died the stream is left
+    unread; an exception raised by run is re-raised here. Closing the
+    generator kills and joins every worker.
+    """
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for _ in range(workers):
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=_serve, args=(child_conn, run), daemon=True)
+            proc.start()
+            child_conn.close()
+            procs.append(proc)
+            conns.append(conn)
+        in_flight = deque()  # (pipe, size) of each chunk sent, oldest first
+        tasks = iter(tasks)
+        for i in itertools.count():
+            chunk = list(itertools.islice(tasks, _CHUNK))
+            if chunk:
+                conn = conns[i % workers]
+                with contextlib.suppress(OSError):  # a dead worker shows as EOF below
+                    conn.send(chunk)
+                in_flight.append((conn, len(chunk)))
+            elif not in_flight:
+                return
+            if chunk and len(in_flight) < _CHUNKS_PER_WORKER * workers:
+                continue
+            conn, size = in_flight.popleft()
+            try:
+                outs = conn.recv()
+            except (EOFError, OSError):
+                outs = [_LOST] * size
+            for out in outs:
+                if isinstance(out, BaseException):
+                    raise out
+                yield out
+            if outs[0] is _LOST and not any(proc.is_alive() for proc in procs):
+                return  # no worker is left to run the rest of the stream
+    finally:
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def _serve(conn, run):
+    """A worker of _forked_runs: answer each chunk of tasks with the
+    list of run(task), up to the first YES or exception raised."""
+    while True:
+        try:
+            chunk = conn.recv()
+        except EOFError:
+            return
+        outs = []
+        for task in chunk:
+            try:
+                out = run(task)
+            except Exception as exc:
+                outs.append(exc)
+                break
+            outs.append(out)
+            if out[0] == YES:
+                break
+        conn.send(outs)
 
 
 def eccentricities(g: Graph) -> list[int]:
@@ -269,15 +313,6 @@ class SolveResult:
             "stats": self.stats,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolveResult":
-        return cls(
-            bandwidth=d["bandwidth"],
-            ordering=list(d["ordering"]),
-            status=d["status"],
-            stats=d.get("stats", {}),
-        )
-
 
 def minimize_bandwidth(
     g: Graph,
@@ -292,6 +327,8 @@ def minimize_bandwidth(
     components first. The budget's max_seconds bounds the whole solve:
     every decide gets the same deadline.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if budget is None:
         budget = Budget()
     deadline = budget.deadline()

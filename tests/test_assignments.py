@@ -27,9 +27,12 @@ class TestEnumerate:
         for phi in assigns:
             assert phi.lo[1] == phi.lo[0] - 1
             assert phi.width(0) == 2 and phi.width(1) == 4
+        # Root segment (0, 2) covers base segments 0 and 1, so positions
+        # 1 .. 4 clipped to {1, 2}; the leaf's is (-1, 3).
         phi = assigns[1]
-        assert set(phi.segment(0).positions(2)) == {1, 2}
-        assert phi.segment(1).lo == -1 and phi.segment(1).hi == 3
+        assert (phi.lo[0], phi.hi(0)) == (0, 2)
+        assert (phi.lo[1], phi.hi(1)) == (-1, 3)
+        assert [consistency_witness(phi, [p, 1]) for p in (0, 1, 2, 3)] == [False, True, True, False]
 
     def test_star_count_equals_root_choices(self):
         g = generate("star", 2)
@@ -58,7 +61,8 @@ class TestEnumerate:
         tree = spanning_tree(g, 0)
         for phi in enumerate_assignments(tree, 6, 2):
             for v in range(6):
-                assert len(phi.segment(v).positions(6)) > 0
+                # Some position in 1..6 lies in a base segment of v's.
+                assert any(phi.lo[v] <= (p - 1) // 3 < phi.hi(v) for p in range(1, 7))
 
     def test_pruned_stream_is_subset_with_same_accepted_set(self):
         for seed in range(5):
@@ -114,9 +118,9 @@ class TestConsistency:
     def test_position_outside_segment(self):
         g, tree = p2()
         phi = SegmentAssignment((1, 0), 1, tree)
-        # Root segment (1, 3) covers positions {3, 4, ...} clipped; 1 is
-        # outside it.
-        assert 1 not in phi.segment(0).positions(2)
+        # Root segment (1, 3) starts at base segment 1, positions 3 ..;
+        # position 1 lies in base segment 0, outside it.
+        assert (1 - 1) // (1 + 1) < phi.lo[0]
         assert not consistency_witness(phi, [1, 2])
 
 

@@ -47,6 +47,12 @@ class TestDecide:
         assert main(["decide", path, "--b", "750"]) == 3
         assert "internal failure" in capsys.readouterr().err
 
+    def test_workers_below_one_exit_3(self, tmp_path, capsys):
+        path = write(tmp_path, "p4.g", generate("path", 4))
+        assert main(["decide", path, "--b", "1", "--workers", "0"]) == 3
+        assert main(["solve", path, "--workers", "-1"]) == 3
+        assert "workers" in capsys.readouterr().err
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.g"
         path.write_text("2 1\n0 5\n")

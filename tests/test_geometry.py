@@ -1,15 +1,18 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bwexact.geometry import (
-    Segment,
     color_of,
     color_order,
     num_base_segments,
     segment_of,
-    segment_positions,
 )
+
+
+def positions(lo: int, hi: int, b: int, n: int) -> set[int]:
+    """Positions of the segment (lo, hi): those in 1..n whose base
+    segment is one of lo .. hi-1, the rule consistency_witness applies."""
+    return {p for p in range(1, n + 1) if lo <= segment_of(p, b) < hi}
 
 
 class TestSegmentOf:
@@ -23,7 +26,7 @@ class TestSegmentOf:
     @given(st.integers(1, 500), st.integers(1, 20))
     def test_position_in_own_base_segment(self, p, b):
         t = segment_of(p, b)
-        assert p in Segment(t, t + 1, b).positions(p + b + 1)
+        assert t * (b + 1) + 1 <= p <= (t + 1) * (b + 1)
 
 
 class TestColorOf:
@@ -59,12 +62,9 @@ class TestColorOrder:
         assert list(color_order(5, 1).sequence) == [1, 3, 5, 2, 4]
 
     @given(st.integers(1, 60), st.integers(1, 8))
-    def test_bijection_and_inverse(self, n, b):
+    def test_bijection(self, n, b):
         co = color_order(n, b)
         assert sorted(co.sequence) == list(range(1, n + 1))
-        inv = co.inverse()
-        for k, p in enumerate(co.sequence):
-            assert inv[p - 1] == k
 
     @given(st.integers(1, 60), st.integers(1, 8))
     def test_step_segments(self, n, b):
@@ -78,23 +78,15 @@ class TestColorOrder:
 
 class TestSegment:
     def test_positions_basic(self):
-        assert segment_positions(Segment(0, 1, 3), 14) == {1, 2, 3, 4}
+        assert positions(0, 1, 3, 14) == {1, 2, 3, 4}
 
     def test_negative_lo_clipped(self):
-        assert segment_positions(Segment(-1, 1, 3), 14) == {1, 2, 3, 4}
+        assert positions(-1, 1, 3, 14) == {1, 2, 3, 4}
 
     def test_clipped_at_n(self):
-        assert segment_positions(Segment(3, 4, 3), 14) == {13, 14}
+        assert positions(3, 4, 3, 14) == {13, 14}
 
     def test_empty(self):
-        assert Segment(5, 6, 3).is_empty(14)
-        assert not Segment(3, 4, 3).is_empty(14)
-
-    def test_requires_lo_below_hi(self):
-        with pytest.raises(ValueError):
-            Segment(2, 2, 3)
-
-    def test_contains_base(self):
-        s = Segment(1, 3, 2)
-        assert s.contains_base(1) and s.contains_base(2)
-        assert not s.contains_base(0) and not s.contains_base(3)
+        assert num_base_segments(14, 3) == 4
+        assert positions(5, 6, 3, 14) == set()
+        assert positions(3, 4, 3, 14)

@@ -1,12 +1,20 @@
+import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
 from conftest import brute_bandwidth
 
+import bwexact
 from bwexact import solve
-from bwexact.graph import Graph, GraphError, generate, ordering_bandwidth
+from bwexact.assignments import edge_filter, enumerate_assignments
+from bwexact.graph import Graph, GraphError, generate, ordering_bandwidth, spanning_tree
 from bwexact.search import WitnessError
 from bwexact.solve import (
     Budget,
@@ -20,8 +28,29 @@ from bwexact.solve import (
     lower_bound,
     minimize_bandwidth,
     oracle_bandwidth,
-    SolveResult,
 )
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(bwexact.__file__)))
+
+
+def run_isolated(code: str, timeout: float) -> str:
+    """Run `code` in a fresh interpreter in its own session and return
+    its stdout. Past `timeout` seconds the whole session, forked search
+    workers included, is killed and the test fails: a hang must fail,
+    not stall the suite."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(code)], env=env, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"no answer within {timeout} s")
+    assert proc.returncode == 0, err
+    return out
 
 
 class TestDecide:
@@ -63,23 +92,78 @@ class TestDecide:
             decide(generate("path", 4), 4)
 
     def test_prune_matches_unpruned(self):
+        # decide streams with graph=g: the edge-distance prune must keep
+        # exactly the assignments that pass edge_filter, in stream order.
         for seed in range(6):
             g = generate("random_gnp", 7, 0.4, seed=seed)
+            tree = spanning_tree(g, 0)
             for b in (1, 2, 3):
-                a = decide(g, b, prune=True)
-                c = decide(g, b, prune=False)
-                assert a.status == c.status
-                assert a.stats.assignments_accepted == c.stats.assignments_accepted
+                pruned = [phi.lo for phi in enumerate_assignments(tree, 7, b, graph=g)]
+                plain = [phi.lo for phi in enumerate_assignments(tree, 7, b) if edge_filter(phi, g)]
+                assert pruned == plain
 
     def test_parallel_matches_sequential(self):
-        g = generate("random_gnp", 9, 0.35, seed=11)
-        for b in (2, 3, 4):
-            seq = decide(g, b)
-            par = decide(g, b, workers=3)
-            assert seq.status == par.status
-            assert seq.stats.kernel == par.stats.kernel
-            if seq.status == YES:
-                assert ordering_bandwidth(g, par.ordering) <= b
+        cases = [
+            (generate("random_gnp", 9, 0.35, seed=11), (2, 3, 4)),
+            # The "yes" at b=2 comes on run 147 of the stream.
+            (generate("random_tree", 14, seed=8), (1, 2)),
+        ]
+        for g, bs in cases:
+            statuses = set()
+            for b in bs:
+                seq = decide(g, b)
+                par = decide(g, b, workers=3)
+                assert seq.status == par.status
+                assert seq.ordering == par.ordering
+                assert seq.stats.to_dict() == par.stats.to_dict()
+                if seq.status == YES:
+                    assert ordering_bandwidth(g, par.ordering) <= b
+                statuses.add(seq.status)
+            assert statuses == {YES, NO}
+
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_parallel_repeated_yes_does_not_hang(self, seed):
+        # Stopping the workers after each early "yes" must never
+        # deadlock; 200 such decides take a few seconds.
+        out = run_isolated(f"""
+            from bwexact.graph import generate
+            from bwexact.solve import decide, minimize_bandwidth
+            g = generate("random_gnp", 14, 0.3, seed={seed})
+            opt = minimize_bandwidth(g).bandwidth
+            print(sorted({{decide(g, opt, workers=2).status for _ in range(200)}}))
+        """, timeout=60)
+        assert out.split() == ["['yes']"]
+
+    def test_dead_worker_reports_unknown(self):
+        # Every worker dies on its first run; the parent itself never
+        # searches when workers > 1.
+        out = run_isolated("""
+            import os, time
+            from bwexact import solve
+            from bwexact.graph import generate
+            solve.dfs_decide = lambda *args, **kwargs: os._exit(1)
+            start = time.monotonic()
+            res = solve.decide(generate("random_gnp", 9, 0.35, seed=11), 3, workers=2)
+            print(res.status, res.ordering, time.monotonic() - start)
+        """, timeout=30)
+        status, ordering, seconds = out.split()
+        assert (status, ordering) == (UNKNOWN, "None")
+        assert float(seconds) < 5
+
+    def test_worker_exception_reraised(self, monkeypatch):
+        def failing_dfs(*args, **kwargs):
+            raise WitnessError("kernel bug")
+
+        monkeypatch.setattr(solve, "dfs_decide", failing_dfs)
+        with pytest.raises(WitnessError, match="kernel bug"):
+            decide(generate("cycle", 6), 2, workers=2)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValueError):
+            decide(generate("cycle", 6), 2, workers=workers)
+        with pytest.raises(ValueError):
+            minimize_bandwidth(generate("path", 6), workers=workers)
 
 
     def test_parallel_workers_honour_deadline(self):
@@ -174,8 +258,9 @@ class TestMinimize:
         assert minimize_bandwidth(generate("path", 6)).stats["kernel"] is None
 
     def test_result_dict_roundtrip(self):
-        res = minimize_bandwidth(generate("cycle", 5))
-        assert SolveResult.from_dict(res.to_dict()) == res
+        d = minimize_bandwidth(generate("cycle", 5)).to_dict()
+        assert set(d) == {"bandwidth", "ordering", "status", "stats"}
+        assert json.loads(json.dumps(d)) == d
 
 
 class TestOracle:
