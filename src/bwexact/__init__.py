@@ -14,13 +14,7 @@ from .analysis import (
     optimize_weights,
     total_state_bound,
 )
-from .assignments import (
-    SegmentAssignment,
-    consistency_witness,
-    edge_filter,
-    enumerate_assignments,
-    max_assignments,
-)
+from .assignments import enumerate_assignments, max_assignments
 from .geometry import ColorOrder, color_of, color_order, segment_of
 from .graph import (
     Graph,
@@ -54,16 +48,13 @@ __all__ = [
     "McWeights",
     "RootedTree",
     "SearchStats",
-    "SegmentAssignment",
     "SolveResult",
     "color_of",
     "color_order",
     "connected_components",
-    "consistency_witness",
     "constraint_residuals",
     "decide",
     "dfs_decide",
-    "edge_filter",
     "enumerate_assignments",
     "generate",
     "kappa_for",

@@ -19,7 +19,7 @@ from .analysis import (
     optimize_weights,
 )
 from .assignments import max_assignments
-from .graph import Graph, GraphError, generate, parse_graph, write_graph
+from .graph import FAMILY_PARAMS, Graph, GraphError, generate, parse_graph, write_graph
 from .solve import (
     Budget,
     OPTIMAL,
@@ -132,22 +132,10 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-_FAMILY_PARAMS = {
-    "path": 1, "cycle": 1, "complete": 1, "star": 1,
-    "random_gnp": 2, "random_tree": 1, "caterpillar": 2,
-}
-
-
 def cmd_gen(args) -> int:
-    want = _FAMILY_PARAMS.get(args.family)
-    if want is None:
-        raise GraphError(f"unknown family {args.family!r}")
-    if len(args.params) != want:
-        raise GraphError(f"family {args.family} takes {want} parameter(s)")
-    params = [
-        float(p) if args.family == "random_gnp" and i == 1 else int(p)
-        for i, p in enumerate(args.params)
-    ]
+    types = FAMILY_PARAMS[args.family]
+    params = [convert(p) for convert, p in zip(types, args.params)]
+    params += args.params[len(types):]  # left for generate to count and reject
     g = generate(args.family, *params, seed=args.seed)
     text = write_graph(g)
     if args.out:
@@ -247,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gen", help="generate a graph file")
-    p.add_argument("family", choices=sorted(_FAMILY_PARAMS))
+    p.add_argument("family", choices=sorted(FAMILY_PARAMS))
     p.add_argument("params", nargs="*")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None)

@@ -220,12 +220,25 @@ def ordering_bandwidth(g: Graph, pos: list[int]) -> int:
     return max((abs(pos[u] - pos[v]) for u, v in g.edges), default=0)
 
 
+# Each generator family's parameter types, in order: generate checks the
+# count against it and the CLI's gen command converts its arguments by it.
+FAMILY_PARAMS = {
+    "path": (int,), "cycle": (int,), "complete": (int,), "star": (int,),
+    "random_gnp": (int, float), "random_tree": (int,), "caterpillar": (int, int),
+}
+
+
 def generate(family: str, *params, seed: int = 0, connected: bool = True) -> Graph:
     """Deterministic test-corpus generators.
 
     Families: path(n), cycle(n), complete(n), star(m) [n=m+1],
     random_gnp(n, p), random_tree(n), caterpillar(spine, legs).
     """
+    types = FAMILY_PARAMS.get(family)
+    if types is None:
+        raise GraphError(f"unknown graph family {family!r}")
+    if len(params) != len(types):
+        raise GraphError(f"family {family} takes {len(types)} parameter(s), got {len(params)}")
     rng = random.Random(seed)
     if family == "path":
         (n,) = params
@@ -259,14 +272,12 @@ def generate(family: str, *params, seed: int = 0, connected: bool = True) -> Gra
         (n,) = params
         _require(n >= 1, "random_tree needs n >= 1")
         return random_tree(n, rng)
-    if family == "caterpillar":
-        spine, legs = params
-        _require(spine >= 1 and legs >= 0, "caterpillar needs spine >= 1, legs >= 0")
-        edges = [(i, i + 1) for i in range(spine - 1)]
-        for k in range(legs):
-            edges.append((rng.randrange(spine), spine + k))
-        return Graph(spine + legs, edges)
-    raise GraphError(f"unknown graph family {family!r}")
+    spine, legs = params  # caterpillar, the one family left
+    _require(spine >= 1 and legs >= 0, "caterpillar needs spine >= 1, legs >= 0")
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    for k in range(legs):
+        edges.append((rng.randrange(spine), spine + k))
+    return Graph(spine + legs, edges)
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:

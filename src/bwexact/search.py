@@ -21,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .assignments import SegmentAssignment, segment_width
+from .assignments import segment_width
 from .geometry import color_order
 from .graph import Graph, RootedTree, ordering_bandwidth
 
@@ -49,14 +49,6 @@ class SearchStats:
     depth_max: int = 0
     result: str = UNKNOWN
     kernel: str = "python"  # "c" or "python": which kernel ran
-
-    def to_dict(self) -> dict:
-        return {
-            "states_visited": self.states_visited,
-            "depth_max": self.depth_max,
-            "result": self.result,
-            "kernel": self.kernel,
-        }
 
 
 class SearchPlan:
@@ -98,13 +90,15 @@ class SearchPlan:
 
 
 def dfs_decide(
-    phi: SegmentAssignment,
     g: Graph,
     b: int,
+    tree: RootedTree,
+    lo: tuple[int, ...],
     max_states: int = DEFAULT_MAX_STATES,
     deadline: float | None = None,
 ) -> tuple[str, list[int] | None, SearchStats]:
-    """Search for an ordering of bandwidth <= b consistent with phi.
+    """Search for an ordering of bandwidth <= b consistent with the
+    segment assignment lo over the spanning tree (see assignments).
 
     Returns (YES, ordering, stats) on success, (NO, None, stats) when
     the state space is exhausted, or (UNKNOWN, None, stats) when a
@@ -115,10 +109,10 @@ def dfs_decide(
     the same states in the same order. Raises WitnessError rather than
     return an ordering that fails the bandwidth check.
     """
-    plan = _plan_for(g, b, phi.tree)
+    plan = _plan_for(g, b, tree)
     n = g.n
     kernel = _c_kernel() if 0 < n <= C_KERNEL_MAX_N else None
-    args = (plan, phi.lo, max_states, deadline)
+    args = (plan, lo, max_states, deadline)
     status, path, stats = _dfs_python(*args) if kernel is None else _dfs_c(kernel, *args)
     stats.result = status
     if status != YES:

@@ -25,17 +25,23 @@ def all_b_orderings(g: Graph, b: int) -> list[list[int]]:
     """Every ordering with bandwidth <= b, by pruned exhaustive placement."""
     n = g.n
     pos = [0] * n
+    at = [0] * (n + 1)  # at[p]: the vertex at position p
     out = []
 
     def rec(p):
         if p > n:
             out.append(list(pos))
             return
+        # The vertex at p - b - 1 is too far from every position left, so
+        # an unplaced neighbour of it makes this branch dead.
+        if p > b + 1 and any(pos[u] == 0 for u in g.adj[at[p - b - 1]]):
+            return
         for v in range(n):
             if pos[v]:
                 continue
             if all(pos[u] == 0 or p - pos[u] <= b for u in g.adj[v]):
                 pos[v] = p
+                at[p] = v
                 rec(p + 1)
                 pos[v] = 0
 

@@ -1,6 +1,10 @@
 """The phase-2 search without the feasibility prune, written for
 reading rather than speed: the reference that both kernels of
-bwexact.search are checked against.
+bwexact.search are checked against. Also the phase-1 edge filter and
+the consistency check of an ordering against a segment assignment.
+
+A segment assignment is its lo vector over a spanning tree: vertex v
+gets base segments lo[v] .. hi(v) - 1, hi(v) = lo[v] + its width.
 
 A state maps each vertex to a base segment or to None. Positions are
 filled in color order; a vertex may take the step's base segment t when
@@ -13,9 +17,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from bwexact.assignments import SegmentAssignment
+from bwexact.assignments import segment_width
 from bwexact.geometry import color_order
-from bwexact.graph import Graph
+from bwexact.graph import Graph, RootedTree
+
+
+def hi(lo: tuple[int, ...], tree: RootedTree, v: int) -> int:
+    """One past the last base segment of v's segment."""
+    return lo[v] + segment_width(tree, v)
+
+
+def edge_filter(lo: tuple[int, ...], tree: RootedTree, g: Graph) -> bool:
+    """Accept iff for every edge uv with segments (i, j) and (k, l) the
+    segments overlap or abut: j >= k and l >= i."""
+    return all(hi(lo, tree, u) >= lo[v] and hi(lo, tree, v) >= lo[u] for u, v in g.edges)
+
+
+def consistency_witness(lo: tuple[int, ...], tree: RootedTree, b: int, pos: list[int]) -> bool:
+    """True iff every vertex's position lies inside its assigned segment:
+    position p lies in 1..n and its base segment (p-1) // (b+1) in
+    lo[v] .. hi(v)-1."""
+    n = len(lo)
+    return all(1 <= pos[v] <= n and lo[v] <= (pos[v] - 1) // (b + 1) < hi(lo, tree, v) for v in range(n))
 
 
 @dataclass(frozen=True)
@@ -34,7 +57,7 @@ class SearchState:
 
 
 def extend_candidates(
-    s: SearchState, phi: SegmentAssignment, g: Graph, t: int
+    s: SearchState, lo: tuple[int, ...], tree: RootedTree, g: Graph, t: int
 ) -> list[int]:
     """Vertices whose assignment to base segment t yields an extension.
 
@@ -44,10 +67,10 @@ def extend_candidates(
     or before t.
     """
     out = []
-    for v in range(phi.n):
+    for v in range(len(lo)):
         if s.assigned[v] is not None:
             continue
-        if not (phi.lo[v] <= t < phi.hi(v)):
+        if not (lo[v] <= t < hi(lo, tree, v)):
             continue
         ok = True
         for u in g.adj[v]:
@@ -56,7 +79,7 @@ def extend_candidates(
                 if not (k - 1 <= t <= k):
                     ok = False
                     break
-            elif phi.lo[u] > t:
+            elif lo[u] > t:
                 ok = False
                 break
         if ok:
@@ -71,38 +94,40 @@ def extend(s: SearchState, v: int, t: int) -> SearchState:
     return SearchState(tuple(new))
 
 
-def encode_state(s: SearchState, phi: SegmentAssignment) -> int:
+def encode_state(s: SearchState, lo: tuple[int, ...]) -> int:
     """Injective packed key: 3 bits per vertex, 0 for undefined, else
     1 + offset of the base segment inside the vertex's segment."""
     key = 0
     for v, t in enumerate(s.assigned):
         if t is not None:
-            key |= (1 + t - phi.lo[v]) << (3 * v)
+            key |= (1 + t - lo[v]) << (3 * v)
     return key
 
 
-def decode_state(key: int, phi: SegmentAssignment) -> SearchState:
+def decode_state(key: int, lo: tuple[int, ...]) -> SearchState:
     assigned: list[int | None] = []
-    for v in range(phi.n):
+    for v in range(len(lo)):
         code = (key >> (3 * v)) & 0b111
-        assigned.append(None if code == 0 else phi.lo[v] + code - 1)
+        assigned.append(None if code == 0 else lo[v] + code - 1)
     return SearchState(tuple(assigned))
 
 
-def unpruned_dfs(phi: SegmentAssignment, g: Graph, b: int) -> tuple[bool, list[int] | None, int]:
+def unpruned_dfs(
+    g: Graph, b: int, tree: RootedTree, lo: tuple[int, ...]
+) -> tuple[bool, list[int] | None, int]:
     """(found, ordering, states visited with the root) of the unpruned
     search; the ordering maps vertex -> position."""
     sequence = color_order(g.n, b)
-    visited = {encode_state(SearchState.empty(g.n), phi)}
+    visited = {encode_state(SearchState.empty(g.n), lo)}
     path: list[int] = []
 
     def visit(s: SearchState, depth: int) -> bool:
         if depth == g.n:
             return True
         t = sequence.step_base_segment[depth]
-        for v in extend_candidates(s, phi, g, t):
+        for v in extend_candidates(s, lo, tree, g, t):
             child = extend(s, v, t)
-            key = encode_state(child, phi)
+            key = encode_state(child, lo)
             if key in visited:
                 continue
             visited.add(key)

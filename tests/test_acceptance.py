@@ -11,15 +11,11 @@ import time
 import pytest
 
 from conftest import all_b_orderings, all_labeled_trees, connected_graphs
+from reference_search import consistency_witness, edge_filter
 
 from bwexact.analysis import McWeights, kappa_for, optimize_weights
-from bwexact.assignments import (
-    consistency_witness,
-    edge_filter,
-    enumerate_assignments,
-    max_assignments,
-)
-from bwexact.graph import generate, ordering_bandwidth, spanning_tree
+from bwexact.assignments import enumerate_assignments, max_assignments
+from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
 from bwexact.solve import decide, minimize_bandwidth, oracle_bandwidth
 from bwexact.search import per_run_state_ceiling
 
@@ -85,7 +81,7 @@ def test_criterion_3_phase1_counter():
     for g in _counter_corpus():
         tree = spanning_tree(g, 0)
         for b in range(1, g.n):
-            generated = sum(1 for _ in enumerate_assignments(tree, g.n, b))
+            generated = sum(1 for _ in enumerate_assignments(Graph(g.n, []), tree, b))
             assert generated <= max_assignments(g.n)
             instances += 1
     report(3, f"{instances} unpruned assignment streams, zero phase-1 counter violations")
@@ -131,14 +127,15 @@ def test_criterion_6_assignment_completeness():
                 if b >= n:
                     continue
                 accepted = [
-                    phi for phi in enumerate_assignments(tree, n, b)
-                    if edge_filter(phi, g)
+                    lo for lo in enumerate_assignments(Graph(n, []), tree, b)
+                    if edge_filter(lo, tree, g)
                 ]
                 for pos in all_b_orderings(g, b):
                     orderings += 1
                     assert any(
-                        consistency_witness(phi, pos) for phi in accepted
+                        consistency_witness(lo, tree, b, pos) for lo in accepted
                     ), (n, sorted(g.edges), b, pos)
+    assert (trees, orderings) == (18_248, 774_002)
     report(6, f"{trees} labeled trees (n<=7), {orderings} b-orderings, "
               "every one consistent with an accepted assignment")
 

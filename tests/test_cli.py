@@ -41,8 +41,8 @@ class TestDecide:
         assert "error" in capsys.readouterr().err
 
     def test_crash_exit_3(self, tmp_path, capsys):
-        # n = 1501 overflows the recursion of the Python phase 1 and 2; a
-        # crash must never exit 1, which means a proven "no".
+        # n = 1501 overflows the recursion of the Python phase-2 kernel;
+        # a crash must never exit 1, which means a proven "no".
         path = write(tmp_path, "star1500.g", generate("star", 1500))
         assert main(["decide", path, "--b", "750"]) == 3
         assert "internal failure" in capsys.readouterr().err
@@ -117,10 +117,15 @@ class TestGenCmd:
     def test_gnp_to_file(self, tmp_path):
         out = tmp_path / "g.g"
         assert main(["gen", "random_gnp", "8", "0.4", "--seed", "2", "-o", str(out)]) == 0
-        assert parse_graph(out.read_text()).n == 8
+        assert out.read_text() == (
+            "8 10\n0 3\n0 4\n1 2\n1 6\n2 3\n3 5\n3 6\n3 7\n4 6\n4 7\n"
+        )
 
     def test_wrong_arity(self, capsys):
         assert main(["gen", "path"]) == 3
+        assert "family path takes 1 parameter(s), got 0" in capsys.readouterr().err
+        assert main(["gen", "caterpillar", "3", "2", "1"]) == 3
+        assert "family caterpillar takes 2 parameter(s), got 3" in capsys.readouterr().err
 
 
 class TestBenchCmd:

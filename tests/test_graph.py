@@ -176,3 +176,5 @@ class TestGenerate:
             generate("random_gnp", 5, 1.5)
         with pytest.raises(GraphError):
             generate("moebius", 5)
+        with pytest.raises(GraphError, match="family random_gnp takes 2 parameter"):
+            generate("random_gnp", 5)

@@ -11,19 +11,17 @@ from hypothesis import strategies as st
 from conftest import all_b_orderings, connected_graphs
 from reference_search import (
     SearchState,
+    consistency_witness,
     decode_state,
+    edge_filter,
     encode_state,
     extend,
     extend_candidates,
+    hi,
     unpruned_dfs,
 )
 
-from bwexact.assignments import (
-    SegmentAssignment,
-    consistency_witness,
-    edge_filter,
-    enumerate_assignments,
-)
+from bwexact.assignments import enumerate_assignments
 from bwexact import search
 from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
 from bwexact.solve import decide
@@ -42,41 +40,40 @@ from bwexact.search import (
 def p2_assignment():
     g = Graph(2, [(0, 1)])
     tree = spanning_tree(g, 0)
-    phi = SegmentAssignment((0, -1), 1, tree)
-    return g, phi
+    return g, tree, (0, -1)
 
 
 class TestExtendCandidates:
     def test_p2_empty_state(self):
-        g, phi = p2_assignment()
+        g, tree, lo = p2_assignment()
         s = SearchState.empty(2)
-        assert extend_candidates(s, phi, g, 0) == [0, 1]
+        assert extend_candidates(s, lo, tree, g, 0) == [0, 1]
 
     def test_defined_neighbor_too_far(self):
         # A neighbor pinned two base segments back excludes the vertex.
         g = generate("path", 3)
         tree = spanning_tree(g, 0)
-        phi = SegmentAssignment((0, 1, 0), 1, tree)
+        lo = (0, 1, 0)
         s = extend(SearchState.empty(3), 0, 0)
-        assert 1 not in extend_candidates(s, phi, g, 2)
+        assert 1 not in extend_candidates(s, lo, tree, g, 2)
 
     def test_undefined_neighbor_segment_start(self):
         # Condition on undefined neighbors: their segment must start at
         # or before the base segment being filled.
         g = Graph(2, [(0, 1)])
         tree = spanning_tree(g, 0)
-        phi = SegmentAssignment((1, 0), 2, tree)
+        lo = (1, 0)
         s = SearchState.empty(2)
         # Vertex 1 covers base segment 0, but its undefined neighbor's
         # segment starts at 1 > 0, so it is excluded too.
-        assert phi.lo[1] <= 0 < phi.hi(1)
-        assert extend_candidates(s, phi, g, 0) == []
+        assert lo[1] <= 0 < hi(lo, tree, 1)
+        assert extend_candidates(s, lo, tree, g, 0) == []
 
     def test_segment_membership_required(self):
-        g, phi = p2_assignment()
+        g, tree, lo = p2_assignment()
         s = SearchState.empty(2)
         # Base segment 2 lies outside the root's segment (0, 2).
-        assert 0 not in extend_candidates(s, phi, g, 2)
+        assert 0 not in extend_candidates(s, lo, tree, g, 2)
 
 
 class TestExtend:
@@ -96,45 +93,45 @@ class TestExtend:
 
 class TestEncode:
     def test_empty_is_zero(self):
-        g, phi = p2_assignment()
-        assert encode_state(SearchState.empty(2), phi) == 0
+        g, tree, lo = p2_assignment()
+        assert encode_state(SearchState.empty(2), lo) == 0
 
     def test_roundtrip_random_candidates(self):
         rng = random.Random(0)
         g = generate("random_tree", 8, seed=1)
         tree = spanning_tree(g, 0)
-        phi = next(enumerate_assignments(tree, 8, 2))
+        lo = next(enumerate_assignments(Graph(8, []), tree, 2))
         for _ in range(200):
             assigned = tuple(
-                rng.choice([None] + list(range(phi.lo[v], phi.hi(v))))
+                rng.choice([None] + list(range(lo[v], hi(lo, tree, v))))
                 for v in range(8)
             )
             s = SearchState(assigned)
-            assert decode_state(encode_state(s, phi), phi) == s
+            assert decode_state(encode_state(s, lo), lo) == s
 
     def test_injective_on_single_difference(self):
-        g, phi = p2_assignment()
+        g, tree, lo = p2_assignment()
         a = extend(SearchState.empty(2), 0, 0)
         b = extend(SearchState.empty(2), 0, 1)
-        assert encode_state(a, phi) != encode_state(b, phi)
+        assert encode_state(a, lo) != encode_state(b, lo)
 
 
 class TestDfsDecide:
     def test_p2_finds_ordering(self):
         g = Graph(2, [(0, 1)])
         tree = spanning_tree(g, 0)
-        for phi in enumerate_assignments(tree, 2, 1):
-            status, pos, stats = dfs_decide(phi, g, 1)
+        for lo in enumerate_assignments(Graph(2, []), tree, 1):
+            status, pos, stats = dfs_decide(g, 1, tree, lo)
             assert status == YES
             assert ordering_bandwidth(g, pos) == 1
 
     def test_k3_b1_always_no(self):
         g = generate("complete", 3)
         tree = spanning_tree(g, 0)
-        for phi in enumerate_assignments(tree, 3, 1):
-            if not edge_filter(phi, g):
+        for lo in enumerate_assignments(Graph(3, []), tree, 1):
+            if not edge_filter(lo, tree, g):
                 continue
-            status, pos, _ = dfs_decide(phi, g, 1)
+            status, pos, _ = dfs_decide(g, 1, tree, lo)
             assert status == NO and pos is None
 
     def test_budget_exhaustion_is_unknown(self):
@@ -142,9 +139,9 @@ class TestDfsDecide:
         # first assignment takes hundreds of states.
         g = generate("star", 7)
         tree = spanning_tree(g, 0)
-        phi = next(enumerate_assignments(tree, g.n, 3, graph=g))
-        assert dfs_decide(phi, g, 3)[2].states_visited > 2
-        status, pos, stats = dfs_decide(phi, g, 3, max_states=2)
+        lo = next(enumerate_assignments(g, tree, 3))
+        assert dfs_decide(g, 3, tree, lo)[2].states_visited > 2
+        status, pos, stats = dfs_decide(g, 3, tree, lo, max_states=2)
         assert status == UNKNOWN and pos is None
         assert stats.result == UNKNOWN
 
@@ -154,8 +151,8 @@ class TestDfsDecide:
         tree = spanning_tree(g, 0)
         ceiling = per_run_state_ceiling(8, tree.leaf_count)
         for b in (1, 2, 3):
-            for phi in enumerate_assignments(tree, 8, b, graph=g):
-                _, _, stats = dfs_decide(phi, g, b)
+            for lo in enumerate_assignments(g, tree, b):
+                _, _, stats = dfs_decide(g, b, tree, lo)
                 assert stats.states_visited <= ceiling
 
     @pytest.mark.parametrize("seed", range(10))
@@ -168,13 +165,13 @@ class TestDfsDecide:
         tree = spanning_tree(g, 0)
         for b in (1, 2, 3):
             orderings = all_b_orderings(g, b)
-            for phi in enumerate_assignments(tree, n, b, graph=g):
-                status, pos, _ = dfs_decide(phi, g, b)
-                expected = any(consistency_witness(phi, o) for o in orderings)
+            for lo in enumerate_assignments(g, tree, b):
+                status, pos, _ = dfs_decide(g, b, tree, lo)
+                expected = any(consistency_witness(lo, tree, b, o) for o in orderings)
                 assert status == (YES if expected else NO)
                 if status == YES:
                     assert ordering_bandwidth(g, pos) <= b
-                    assert consistency_witness(phi, pos)
+                    assert consistency_witness(lo, tree, b, pos)
 
     def test_one_plan_per_decide(self, monkeypatch):
         built = []
@@ -193,22 +190,22 @@ class TestDfsDecide:
         # Runs over two spanning trees of one graph, in mixed order: each
         # must search its own tree's segments.
         g = generate("random_gnp", 8, 0.4, seed=4)
-        phis = [
-            phi
-            for root in (0, 5)
-            for phi in itertools.islice(enumerate_assignments(spanning_tree(g, root), 8, 3, graph=g), 20)
+        runs = [
+            (tree, lo)
+            for tree in (spanning_tree(g, 0), spanning_tree(g, 5))
+            for lo in itertools.islice(enumerate_assignments(g, tree, 3), 20)
         ]
-        random.Random(0).shuffle(phis)
-        for phi in phis:
-            found, want_pos, _ = unpruned_dfs(phi, g, 3)
-            status, pos, _ = dfs_decide(phi, g, 3)
-            assert (status, pos) == (YES if found else NO, want_pos), phi.lo
+        random.Random(0).shuffle(runs)
+        for tree, lo in runs:
+            found, want_pos, _ = unpruned_dfs(g, 3, tree, lo)
+            status, pos, _ = dfs_decide(g, 3, tree, lo)
+            assert (status, pos) == (YES if found else NO, want_pos), lo
 
     def test_depth_equals_n_on_success(self):
         g = generate("cycle", 6)
         tree = spanning_tree(g, 0)
-        for phi in enumerate_assignments(tree, 6, 2, graph=g):
-            status, _, stats = dfs_decide(phi, g, 2)
+        for lo in enumerate_assignments(g, tree, 2):
+            status, _, stats = dfs_decide(g, 2, tree, lo)
             if status == YES:
                 assert stats.depth_max == 6
                 return
@@ -220,16 +217,16 @@ def outcome(out):
     return status, pos, stats.states_visited, stats.depth_max
 
 
-def python_kernel(phi, g, b, **kw):
+def python_kernel(g, b, tree, lo, **kw):
     """dfs_decide with the compiled kernel unavailable."""
     with mock.patch.object(search, "_c_kernel", lambda: None):
-        out = dfs_decide(phi, g, b, **kw)
+        out = dfs_decide(g, b, tree, lo, **kw)
     assert out[2].kernel == "python"
     return out
 
 
-def c_kernel(phi, g, b, **kw):
-    out = dfs_decide(phi, g, b, **kw)
+def c_kernel(g, b, tree, lo, **kw):
+    out = dfs_decide(g, b, tree, lo, **kw)
     assert out[2].kernel == "c"
     return out
 
@@ -238,12 +235,12 @@ def assert_kernels_agree(g, b, limit=None, **kw):
     """Both kernels give the same outcome on every accepted assignment
     (the first `limit` ones if given); returns how many were compared."""
     tree = spanning_tree(g, 0)
-    stream = enumerate_assignments(tree, g.n, b, graph=g)
+    stream = enumerate_assignments(g, tree, b)
     compared = 0
-    for phi in itertools.islice(stream, limit):
-        c = outcome(c_kernel(phi, g, b, **kw))
-        p = outcome(python_kernel(phi, g, b, **kw))
-        assert c == p, (g, b, phi.lo)
+    for lo in itertools.islice(stream, limit):
+        c = outcome(c_kernel(g, b, tree, lo, **kw))
+        p = outcome(python_kernel(g, b, tree, lo, **kw))
+        assert c == p, (g, b, lo)
         compared += 1
     return compared
 
@@ -253,14 +250,14 @@ def assert_matches_reference(g, b, limit=None):
     every accepted assignment (the first `limit` ones if given), in no
     more states; returns how many were compared."""
     tree = spanning_tree(g, 0)
-    stream = enumerate_assignments(tree, g.n, b, graph=g)
+    stream = enumerate_assignments(g, tree, b)
     compared = 0
-    for phi in itertools.islice(stream, limit):
-        found, want_pos, want_states = unpruned_dfs(phi, g, b)
+    for lo in itertools.islice(stream, limit):
+        found, want_pos, want_states = unpruned_dfs(g, b, tree, lo)
         for kernel in (c_kernel, python_kernel):
-            status, pos, stats = kernel(phi, g, b)
-            assert (status, pos) == (YES if found else NO, want_pos), (g, b, phi.lo)
-            assert stats.states_visited <= want_states, (g, b, phi.lo)
+            status, pos, stats = kernel(g, b, tree, lo)
+            assert (status, pos) == (YES if found else NO, want_pos), (g, b, lo)
+            assert stats.states_visited <= want_states, (g, b, lo)
         compared += 1
     return compared
 
@@ -314,10 +311,10 @@ class TestKernelEquivalence:
         g = generate("random_gnp", 10, 0.35, seed=3)
         tree = spanning_tree(g, 0)
         for b in (2, 3):
-            phi = next(enumerate_assignments(tree, g.n, b, graph=g))
-            c = outcome(c_kernel(phi, g, b, max_states=max_states))
-            assert c == outcome(python_kernel(phi, g, b, max_states=max_states))
-            full = c_kernel(phi, g, b)[2].states_visited
+            lo = next(enumerate_assignments(g, tree, b))
+            c = outcome(c_kernel(g, b, tree, lo, max_states=max_states))
+            assert c == outcome(python_kernel(g, b, tree, lo, max_states=max_states))
+            full = c_kernel(g, b, tree, lo)[2].states_visited
             # The root is always counted, so a cap of 0 acts as 1.
             if full > max(max_states, 1):
                 assert c[0] == UNKNOWN and c[2] == max(max_states, 1)
@@ -331,11 +328,11 @@ class TestKernelEquivalence:
     def test_past_deadline_is_unknown(self):
         g = generate("cycle", 8)
         tree = spanning_tree(g, 0)
-        phi = next(enumerate_assignments(tree, 8, 2, graph=g))
+        lo = next(enumerate_assignments(g, tree, 2))
         past = time.monotonic() - 1.0
-        c = outcome(c_kernel(phi, g, 2, deadline=past))
+        c = outcome(c_kernel(g, 2, tree, lo, deadline=past))
         assert c == (UNKNOWN, None, 1, 0)
-        assert c == outcome(python_kernel(phi, g, 2, deadline=past))
+        assert c == outcome(python_kernel(g, 2, tree, lo, deadline=past))
 
     def test_future_deadline_changes_nothing(self):
         g = generate("random_gnp", 9, 0.4, seed=1)
@@ -370,8 +367,8 @@ class TestKernelFallback:
         n = C_KERNEL_MAX_N + 1
         g = generate("path", n)
         tree = spanning_tree(g, 0)
-        phi = next(enumerate_assignments(tree, n, 1, graph=g))
-        status, pos, stats = dfs_decide(phi, g, 1)
+        lo = next(enumerate_assignments(g, tree, 1))
+        status, pos, stats = dfs_decide(g, 1, tree, lo)
         assert stats.kernel == "python"
         assert status in (YES, NO)
         if status == YES:
@@ -381,15 +378,15 @@ class TestKernelFallback:
     def test_build_failure_gives_same_results(self, tmp_path, monkeypatch, fresh_loader):
         g = generate("random_gnp", 8, 0.4, seed=5)
         tree = spanning_tree(g, 0)
-        phis = list(enumerate_assignments(tree, 8, 3, graph=g))
-        want = [outcome(c_kernel(phi, g, 3)) for phi in phis]
+        stream = list(enumerate_assignments(g, tree, 3))
+        want = [outcome(c_kernel(g, 3, tree, lo)) for lo in stream]
         source = tmp_path / "_kernel.c"
         shutil.copy(search._KERNEL_SOURCE, source)
         monkeypatch.setattr(search, "_KERNEL_SOURCE", str(source))
         monkeypatch.setattr(search, "_compile_kernel", lambda src, lib: False)
         search._c_kernel.cache_clear()
         assert search._c_kernel() is None
-        got = [dfs_decide(phi, g, 3) for phi in phis]
+        got = [dfs_decide(g, 3, tree, lo) for lo in stream]
         assert all(out[2].kernel == "python" for out in got)
         assert [outcome(out) for out in got] == want
 
@@ -426,9 +423,9 @@ class TestWitnessCheck:
         # positions 1 and 3, two apart on an edge.
         g = generate("path", 4)
         tree = spanning_tree(g, 0)
-        phi = next(enumerate_assignments(tree, 4, 1, graph=g))
+        lo = next(enumerate_assignments(g, tree, 1))
         monkeypatch.setattr(search, kernel, lambda *a: (YES, [0, 1, 2, 3], SearchStats()))
         if kernel == "_dfs_python":
             monkeypatch.setattr(search, "_c_kernel", lambda: None)
         with pytest.raises(WitnessError):
-            dfs_decide(phi, g, 1)
+            dfs_decide(g, 1, tree, lo)

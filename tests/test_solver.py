@@ -10,10 +10,11 @@ import time
 import pytest
 
 from conftest import brute_bandwidth
+from reference_search import edge_filter
 
 import bwexact
 from bwexact import solve
-from bwexact.assignments import edge_filter, enumerate_assignments
+from bwexact.assignments import enumerate_assignments
 from bwexact.graph import Graph, GraphError, generate, ordering_bandwidth, spanning_tree
 from bwexact.search import WitnessError
 from bwexact.solve import (
@@ -92,14 +93,14 @@ class TestDecide:
             decide(generate("path", 4), 4)
 
     def test_prune_matches_unpruned(self):
-        # decide streams with graph=g: the edge-distance prune must keep
+        # decide streams with the edge-distance prune on g: it must keep
         # exactly the assignments that pass edge_filter, in stream order.
         for seed in range(6):
             g = generate("random_gnp", 7, 0.4, seed=seed)
             tree = spanning_tree(g, 0)
             for b in (1, 2, 3):
-                pruned = [phi.lo for phi in enumerate_assignments(tree, 7, b, graph=g)]
-                plain = [phi.lo for phi in enumerate_assignments(tree, 7, b) if edge_filter(phi, g)]
+                pruned = list(enumerate_assignments(g, tree, b))
+                plain = [lo for lo in enumerate_assignments(Graph(7, []), tree, b) if edge_filter(lo, tree, g)]
                 assert pruned == plain
 
     def test_parallel_matches_sequential(self):
