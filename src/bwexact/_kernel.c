@@ -7,8 +7,9 @@
  * v may take base segment t when lo[v] <= t < hi[v], every assigned
  * neighbour holds t or t+1, and no unassigned neighbour's segment
  * starts after t. A child state is then dropped, before it is counted
- * or stored, when the steps left cannot hold the unassigned vertices
- * (see hall). The visited set is an open-addressing table of the
+ * or stored, when some window of base segments has fewer steps left
+ * than unassigned vertices that can only go there (see hall). The
+ * visited set is an open-addressing table of the
  * packed 3-bit-per-vertex keys, so n is at most 21.
  */
 #include <stdint.h>
@@ -63,32 +64,34 @@ static int grow(table *tb)
  * left after the child with base segment s, and `unplaced` is the
  * child's unassigned set. With m[s] = nok[s] for s that has steps
  * left, and A(w) the segments s with w in m[s], the child is dropped
- * (0) when some A(w) is empty, when more than slots[s] vertices have
- * A(w) = {s}, or when more than slots[s] + slots[s+1] vertices have
- * A(w) within {s, s+1}. These are Hall conditions that every
- * completion meets, since assigned values never change below a state,
+ * (0) when some A(w) is empty, or when for some window [i, j] more than
+ * slots[i] + ... + slots[j] vertices have A(w) inside [i, j]. Every
+ * completion matches each unassigned w to its own step left at a
+ * segment of A(w), since assigned values never change below a state,
  * so a dropped child has no completion and the search returns what it
- * would without the test. */
+ * would without the test. Each A(w) is an interval, so these windows
+ * are all of Hall's condition for that matching (Glover 1967). */
 static int hall(int nseg, const uint64_t *ok, uint64_t *nok, const int *slots, uint64_t unplaced,
                 uint64_t nbrs, int t)
 {
-    uint64_t m[MAXN + 2], suf[MAXN + 3], pre = 0;
-    suf[nseg] = suf[nseg + 1] = 0;
+    uint64_t m[MAXN + 1], suf[MAXN + 2], pre = 0;
+    suf[nseg] = 0;
     for (int s = 0; s < nseg; s++) {
         nok[s] = ok[s] & unplaced & (s == t || s == t - 1 ? ~0ULL : ~nbrs);
         m[s] = slots[s] ? nok[s] : 0;
     }
-    m[nseg] = 0;
     for (int s = nseg - 1; s >= 0; s--)
         suf[s] = suf[s + 1] | m[s]; /* suf[s]: the union of m[s..] */
     if (unplaced & ~suf[0])
         return 0;
-    for (int s = 0; s < nseg; s++) {
-        if (__builtin_popcountll(m[s] & ~(pre | suf[s + 1])) > slots[s])
-            return 0;
-        if (__builtin_popcountll((m[s] | m[s + 1]) & ~(pre | suf[s + 2])) > slots[s] + slots[s + 1])
-            return 0;
-        pre |= m[s];
+    for (int i = 0; i < nseg; pre |= m[i++]) { /* pre: the union of m[..i-1] */
+        uint64_t inner = 0;
+        for (int j = i, cap = 0; j < nseg; j++) {
+            inner |= m[j];
+            cap += slots[j];
+            if (__builtin_popcountll(inner & ~(pre | suf[j + 1])) > cap)
+                return 0;
+        }
     }
     return 1;
 }

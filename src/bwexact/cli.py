@@ -134,7 +134,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_gen(args) -> int:
     types = FAMILY_PARAMS[args.family]
-    params = [convert(p) for convert, p in zip(types, args.params)]
+    params = []
+    for i, (convert, text) in enumerate(zip(types, args.params), 1):
+        try:
+            params.append(convert(text))
+        except ValueError:
+            raise GraphError(
+                f"family {args.family} parameter {i} must be {convert.__name__}, got {text!r}"
+            ) from None
     params += args.params[len(types):]  # left for generate to count and reject
     g = generate(args.family, *params, seed=args.seed)
     text = write_graph(g)

@@ -142,7 +142,8 @@ def _dfs_python(plan, lo, max_states, deadline):
     """The reference kernel: recursive DFS over states keyed by 3 bits
     per vertex, 0 for unassigned, else 1 + the offset of its base
     segment inside its segment. Returns (status, path, stats), path[d]
-    being the vertex placed at step d."""
+    being the vertex placed at step d. A budget cap, or Python's
+    recursion or memory limit, ends the run as UNKNOWN."""
     n = plan.g.n
     adj, adj_mask, step, slots = plan.g.adj, plan.adj, plan.step, plan.slots
     hi = [l + w for l, w in zip(lo, plan.width)]
@@ -196,19 +197,30 @@ def _dfs_python(plan, lo, max_states, deadline):
     ok = [sum(1 << v for v in range(n) if lo[v] <= s < hi[v]) for s in range(len(slots[0]) - 1)]
     try:
         found = visit(0, 0, ok, (1 << n) - 1)
-    except BudgetExhausted:
+    except (BudgetExhausted, RecursionError, MemoryError):
+        # visit recurses n deep, so a deep graph can hit Python's limits
+        # before the budget: the run is unfinished, not a "no".
         return UNKNOWN, None, stats
     return (YES, path, stats) if found else (NO, None, stats)
 
 
 def _hall_child(ok, unplaced, nbrs, t, slots):
     """The child's masks, or None when the child state fails the
-    Hall-count test; hall() in _kernel.c states the rule. ok[s] holds
-    the parent's unassigned vertices that may still take base segment
-    s, plus bits of assigned ones that are masked off here with
-    `unplaced`, the child's unassigned set; nbrs is the placed vertex's
-    neighbours and t its base segment. The masks are copied only when
-    the placed vertex has unassigned neighbours."""
+    Hall-count test over every window of base segments; hall() in
+    _kernel.c states the rule. ok[s] holds the parent's unassigned
+    vertices that may still take base segment s, plus bits of assigned
+    ones that are masked off here with `unplaced`, the child's
+    unassigned set; nbrs is the placed vertex's neighbours and t its
+    base segment. The masks are copied only when the placed vertex has
+    unassigned neighbours.
+
+    Only the live segments (those with steps left) are walked, since a
+    window holds the same vertices and steps as the live segments inside
+    it. Windows that cannot fail unless another one does are skipped:
+    those starting at a segment where no A(w) starts (dropping that
+    segment keeps the vertices and loses steps), and those from i whose
+    steps already reach the unassigned vertices not in the segments
+    before i (no window from i holds more vertices)."""
     near = nbrs & unplaced
     if near:
         nok = [m & ~near for m in ok]
@@ -217,30 +229,31 @@ def _hall_child(ok, unplaced, nbrs, t, slots):
                 nok[s] = ok[s]
     else:
         nok = ok
-    # The vertices in at least one, two and three of the live masks
-    # (those of base segments with steps left).
-    once = twice = thrice = 0
-    for m, c in zip(nok, slots):
+    live = []  # (mask, steps, union of the later masks) per live segment
+    later = 0
+    for s in range(len(nok) - 1, -1, -1):
+        c = slots[s]
         if c:
-            m &= unplaced
-            thrice |= twice & m
-            twice |= once & m
-            once |= m
-    if unplaced & ~once:
+            m = nok[s] & unplaced
+            live.append((m, c, later))
+            later |= m
+    if unplaced & ~later:
         return None
-    prev = prev_single = prev_c = 0
-    for m, c in zip(nok, slots):
-        if not c:
-            prev_c = 0
-            continue
-        m &= unplaced
-        single = (m & ~twice).bit_count()  # A(w) = {s}
-        if single > c:
-            return None
-        # A(w) inside {s - 1, s}: single at s or s - 1, or exactly these two.
-        if prev_c and single + prev_single + (m & prev & ~thrice).bit_count() > c + prev_c:
-            return None
-        prev, prev_single, prev_c = m, single, c
+    live.reverse()
+    pre = 0  # the union of the masks before window start i
+    for i, (first, _, _) in enumerate(live):
+        if not first & ~pre:
+            continue  # no A(w) starts at i
+        left = (unplaced & ~pre).bit_count()
+        inner = cap = 0
+        for m, c, later in live[i:]:
+            inner |= m
+            cap += c
+            if cap >= left:
+                break
+            if (inner & ~(pre | later)).bit_count() > cap:
+                return None
+        pre |= first
     return nok
 
 

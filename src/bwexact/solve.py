@@ -58,7 +58,6 @@ class Budget:
 @dataclass
 class DecideStats:
     assignments_generated: int = 0
-    assignments_accepted: int = 0
     runs: int = 0
     states_total: int = 0
     states_max_run: int = 0
@@ -80,7 +79,6 @@ class DecideStats:
 
     def merge(self, other: "DecideStats") -> None:
         self.assignments_generated += other.assignments_generated
-        self.assignments_accepted += other.assignments_accepted
         self.runs += other.runs
         self.states_total += other.states_total
         self.states_max_run = max(self.states_max_run, other.states_max_run)
@@ -147,7 +145,6 @@ def decide(
     try:
         for status, pos, run_stats in results:
             stats.assignments_generated += 1
-            stats.assignments_accepted += 1
             stats.record_run(run_stats.states_visited, run_stats.kernel)
             if status == YES:
                 return DecideResult(YES, pos, stats)

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from bwexact import solve
 from bwexact.cli import main
 from bwexact.graph import generate, parse_graph, write_graph
 
@@ -40,12 +42,26 @@ class TestDecide:
         assert main(["decide", "/nonexistent.g", "--b", "1"]) == 3
         assert "error" in capsys.readouterr().err
 
-    def test_crash_exit_3(self, tmp_path, capsys):
-        # n = 1501 overflows the recursion of the Python phase-2 kernel;
-        # a crash must never exit 1, which means a proven "no".
-        path = write(tmp_path, "star1500.g", generate("star", 1500))
-        assert main(["decide", path, "--b", "750"]) == 3
+    def test_crash_exit_3(self, tmp_path, capsys, monkeypatch):
+        # A crash must never exit 1, which means a proven "no".
+        def crash(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(solve, "dfs_decide", crash)
+        path = write(tmp_path, "p4.g", generate("path", 4))
+        assert main(["decide", path, "--b", "1"]) == 3
         assert "internal failure" in capsys.readouterr().err
+
+    def test_deep_graph_unknown_exit_2(self, tmp_path, capsys):
+        # n = 1501 is deeper than the Python phase-2 kernel's recursion
+        # can go: its runs end unfinished, which is "unknown", not a crash.
+        path = write(tmp_path, "star1500.g", generate("star", 1500))
+        start = time.monotonic()
+        assert main(["decide", path, "--b", "750", "--json"]) == 2
+        assert time.monotonic() - start < 10
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "unknown"
+        assert report["counters"]["kernel"] == "python"
 
     def test_workers_below_one_exit_3(self, tmp_path, capsys):
         path = write(tmp_path, "p4.g", generate("path", 4))
@@ -120,6 +136,12 @@ class TestGenCmd:
         assert out.read_text() == (
             "8 10\n0 3\n0 4\n1 2\n1 6\n2 3\n3 5\n3 6\n3 7\n4 6\n4 7\n"
         )
+
+    def test_bad_parameter(self, capsys):
+        assert main(["gen", "path", "6.5"]) == 3
+        assert "family path parameter 1 must be int, got '6.5'" in capsys.readouterr().err
+        assert main(["gen", "random_gnp", "8", "dense"]) == 3
+        assert "family random_gnp parameter 2 must be float, got 'dense'" in capsys.readouterr().err
 
     def test_wrong_arity(self, capsys):
         assert main(["gen", "path"]) == 3

@@ -1,6 +1,7 @@
 import itertools
 import random
 import shutil
+import subprocess
 import time
 from unittest import mock
 
@@ -24,7 +25,7 @@ from reference_search import (
 from bwexact.assignments import enumerate_assignments
 from bwexact import search
 from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
-from bwexact.solve import decide
+from bwexact.solve import decide, minimize_bandwidth
 from bwexact.search import (
     C_KERNEL_MAX_N,
     NO,
@@ -360,6 +361,41 @@ class TestUnprunedReference:
         g = generate("random_gnp", n, p, seed=seed)
         b = data.draw(st.integers(1, n - 1))
         assert_matches_reference(g, b, limit=40)
+
+
+class TestHallWindows:
+    def test_window_of_three_segments(self):
+        # Four unassigned vertices, each with A(w) = {0, 1, 2}, and one
+        # step left in each segment: no vertex is held to one segment or
+        # to two adjacent ones, but the window [0, 2] has 3 steps for 4.
+        ok = [0b1111] * 3
+        assert search._hall_child(ok, 0b1111, 0, 0, [1, 1, 1, 0]) is None
+        assert search._hall_child(ok, 0b0111, 0, 0, [1, 1, 1, 0]) == ok
+
+    def test_empty_admissible_set(self):
+        # Vertex 1 may only take segment 1, which has no step left.
+        assert search._hall_child([0b01, 0b10], 0b11, 0, 0, [2, 0, 0]) is None
+
+    def test_caterpillar_states(self):
+        # Single-segment and adjacent-pair counts alone leave 337,363 states.
+        res = minimize_bandwidth(generate("caterpillar", 12, 8, seed=0))
+        assert res.bandwidth == 3
+        assert res.stats["states_total"] <= 1_000
+
+
+class TestKernelSource:
+    def test_compiles_without_warnings(self, tmp_path):
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            pytest.skip("no C compiler")
+        lib = tmp_path / "_kernel.so"
+        flags = ["-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC"]
+        proc = subprocess.run(
+            [cc, *flags, "-o", str(lib), search._KERNEL_SOURCE],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert lib.exists()
 
 
 class TestKernelFallback:
