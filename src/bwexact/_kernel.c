@@ -1,16 +1,17 @@
-/* Phase-2 state search for one segment assignment, compiled kernel.
+/* Compiled kernel: bw_dfs is the phase-2 state search for one segment
+ * assignment, and bw_decide a whole serial decide over the phase-1 walk.
  *
- * Same search as the Python loop in search.py, in the same order, so
- * it visits the same states and returns the same witness. A state is a
- * set of vertices, each mapped to a base segment, kept as bitmasks:
- * `assigned`, and val[k], the vertices mapped to base segment k. Vertex
- * v may take base segment t when lo[v] <= t < hi[v], every assigned
- * neighbour holds t or t+1, and no unassigned neighbour's segment
- * starts after t. A child state is then dropped, before it is counted
- * or stored, when some window of base segments has fewer steps left
- * than unassigned vertices that can only go there (see hall). The
- * visited set is an open-addressing table of the
- * packed 3-bit-per-vertex keys, so n is at most 21.
+ * bw_dfs runs the same search as the Python loop in search.py, in the
+ * same order, so it visits the same states and returns the same
+ * witness. A state is a set of vertices, each mapped to a base segment,
+ * kept as bitmasks: `assigned`, and val[k], the vertices mapped to base
+ * segment k. Vertex v may take base segment t when lo[v] <= t < hi[v],
+ * every assigned neighbour holds t or t+1, and no unassigned
+ * neighbour's segment starts after t. A child state is then dropped,
+ * before it is counted or stored, when some window of base segments has
+ * fewer steps left than unassigned vertices that can only go there (see
+ * hall). The visited set is an open-addressing table of the packed
+ * 3-bit-per-vertex keys, so n is at most MAXN = 21.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -201,4 +202,83 @@ done:
     out[0] = states;
     out[1] = (uint64_t)depth_max;
     return status;
+}
+
+/* Whether the segment of width w from base segment c holds a position
+ * in 1..n and leaves no gap to the segment of any vertex in `nbrs`. */
+static int fits(int n, int b, int c, int w, uint64_t nbrs, const int *lo, const int *width)
+{
+    if (c * (b + 1) + 1 > n || (c + w) * (b + 1) < 1) /* first position > n, or last < 1 */
+        return 0;
+    for (; nbrs; nbrs &= nbrs - 1) {
+        int u = __builtin_ctzll(nbrs);
+        if (lo[u] + width[u] < c || c + w < lo[u])
+            return 0;
+    }
+    return 1;
+}
+
+/* One decide: runs bw_dfs on every segment assignment over the spanning
+ * tree, in the order of assignments.enumerate_assignments, under the
+ * rules of solve.decide. order is the tree's preorder and parent[v] v's
+ * parent (-1 at the root); a vertex with no child has a width-4 segment,
+ * any other width 2. The root's lo runs from -1 up, an inner child's is
+ * its parent's - 1 then + 1, a leaf's its parent's - 1. The first BW_YES
+ * wins, and pos[v] is then v's position. A run stopped by a cap makes
+ * the answer BW_UNKNOWN unless a later run says yes, and one that ends
+ * unfinished after the deadline ends the decide. out[0] gets the runs,
+ * out[1] the states of all runs, out[2] the most states in one run. */
+int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *parent,
+              uint64_t max_states, double deadline, int *pos, uint64_t *out)
+{
+    int width[MAXN], step[MAXN], seq[MAXN], lo[MAXN], path[MAXN], next[MAXN], last[MAXN];
+    uint64_t earlier[MAXN], seen = 0, run[2];
+    int k = 0, d, unknown = 0;
+    for (d = 0; d < n; d++) { /* a parent comes before its children in preorder */
+        width[order[d]] = 4;
+        if (parent[order[d]] >= 0)
+            width[parent[order[d]]] = 2;
+        earlier[d] = adj[order[d]] & seen; /* the neighbours before d in preorder */
+        seen |= 1ULL << order[d];
+    }
+    for (int c = 0; c <= b; c++) /* positions by (color, base segment) */
+        for (int p = c; p < n; p += b + 1, k++) {
+            seq[k] = p + 1;
+            step[k] = p / (b + 1);
+        }
+    out[0] = out[1] = out[2] = 0;
+    next[0] = -1;
+    last[0] = (n + b) / (b + 1) - 1;
+    for (d = 0;;) {
+        int v = order[d], c = next[d], stride = d ? 2 : 1;
+        while (c <= last[d] && !fits(n, b, c, width[v], earlier[d], lo, width))
+            c += stride;
+        if (c > last[d]) {
+            if (d-- == 0)
+                return unknown ? BW_UNKNOWN : BW_NO;
+            continue;
+        }
+        next[d] = c + stride;
+        lo[v] = c;
+        if (d + 1 < n) {
+            int u = order[++d];
+            next[d] = lo[parent[u]] - 1;
+            last[d] = next[d] + (width[u] == 4 ? 0 : 2);
+            continue;
+        }
+        int status = bw_dfs(n, adj, lo, width, step, max_states, deadline, path, run);
+        out[0]++;
+        out[1] += run[0];
+        out[2] = run[0] > out[2] ? run[0] : out[2];
+        if (status == BW_YES) {
+            for (k = 0; k < n; k++)
+                pos[path[k]] = seq[k];
+            return BW_YES;
+        }
+        if (status != BW_NO) {
+            if (past(deadline))
+                return BW_UNKNOWN;
+            unknown = 1;
+        }
+    }
 }

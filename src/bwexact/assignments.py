@@ -5,8 +5,10 @@ Every inner vertex gets a width-2 segment, every leaf a width-4
 segment; a child's segment is determined by its parent's up to the
 left/right choice for inner vertices. An assignment is its lo vector,
 lo[v] being the first base segment of v's segment; the widths follow
-from the tree. The stream is generated lazily so consumers can process
-one assignment at a time in polynomial space.
+from the tree. The stream is lazy, one assignment at a time in
+polynomial space. A serial decide with n <= C_KERNEL_MAX_N walks the
+same stream in the compiled kernel (bw_decide in _kernel.c) instead;
+this generator feeds every other decide, and the tests.
 """
 
 from __future__ import annotations

@@ -120,9 +120,36 @@ def dfs_decide(
     pos = [0] * n
     for k, v in enumerate(path):
         pos[v] = plan.corder.sequence[k]
+    return YES, _checked(g, b, pos, stats.kernel), stats
+
+
+def c_decide(g: Graph, b: int, tree: RootedTree, max_states: int = DEFAULT_MAX_STATES,
+             deadline: float | None = None) -> tuple | None:
+    """One compiled call for a serial decide: the runs of dfs_decide over
+    enumerate_assignments(g, tree, b), under solve.decide's rules. None
+    without the compiled kernel or for n > C_KERNEL_MAX_N, else (status,
+    checked ordering or None, runs, states_total, states_max_run)."""
+    if not (1 <= b < g.n and tree.n == g.n):
+        raise ValueError(f"c_decide requires 1 <= b < n and a spanning tree, got b={b}, n={g.n}")
+    kernel = _c_kernel() if g.n <= C_KERNEL_MAX_N else None
+    if kernel is None:
+        return None
+    ints = ctypes.c_int * g.n
+    pos, out = ints(), (ctypes.c_uint64 * 3)()
+    code = kernel.bw_decide(
+        g.n, b, (ctypes.c_uint64 * g.n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)),
+        ints(*tree.preorder), ints(*(-1 if p is None else p for p in tree.parent)),
+        *_c_budget(max_states, deadline), pos, out,
+    )
+    status = _C_STATUS[code]
+    return status, _checked(g, b, pos[:], "c") if status == YES else None, out[0], out[1], out[2]
+
+
+def _checked(g: Graph, b: int, pos: list[int], kernel: str) -> list[int]:
+    """pos, which a kernel found; WitnessError if its bandwidth is over b."""
     if ordering_bandwidth(g, pos) > b:
-        raise WitnessError(f"{stats.kernel} kernel returned an ordering of bandwidth > {b}")
-    return YES, pos, stats
+        raise WitnessError(f"{kernel} kernel returned an ordering of bandwidth > {b}")
+    return pos
 
 
 # The last SearchPlan built on each thread: the runs of one decide share
@@ -257,21 +284,21 @@ def _hall_child(ok, unplaced, nbrs, t, slots):
     return nok
 
 
-# bw_dfs return codes; running out of memory is UNKNOWN like any cap.
+# bw_dfs and bw_decide return codes; out of memory is UNKNOWN like any cap.
 _C_STATUS = (NO, YES, UNKNOWN, UNKNOWN)
 _U64_MAX = (1 << 64) - 1
+
+
+def _c_budget(max_states, deadline):
+    """The state cap and deadline as the compiled kernel takes them."""
+    return max(0, min(max_states, _U64_MAX)), math.inf if deadline is None else deadline
 
 
 def _dfs_c(kernel, plan, lo, max_states, deadline):
     """The compiled kernel behind the same (status, path, stats) contract."""
     adj, c_lo, width, step, path, out = plan.c_arrays()
     c_lo[:] = lo
-    code = kernel(
-        len(lo), adj, c_lo, width, step,
-        max(0, min(max_states, _U64_MAX)),
-        math.inf if deadline is None else deadline,
-        path, out,
-    )
+    code = kernel.bw_dfs(len(lo), adj, c_lo, width, step, *_c_budget(max_states, deadline), path, out)
     status = _C_STATUS[code]
     stats = SearchStats(states_visited=out[0], depth_max=out[1], kernel="c")
     return status, path[:] if status == YES else None, stats
@@ -282,7 +309,7 @@ _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kern
 
 @functools.cache
 def _c_kernel():
-    """bw_dfs from the compiled kernel, or None when it cannot be had.
+    """The compiled kernel (bw_dfs, bw_decide), or None when it cannot be had.
 
     The library is built once per source version into this package's
     __pycache__, named by the source's sha256, and loaded from there by
@@ -298,14 +325,17 @@ def _c_kernel():
     if not os.path.exists(lib) and not _compile_kernel(_KERNEL_SOURCE, lib):
         return None
     try:
-        fn = ctypes.CDLL(lib).bw_dfs
+        kernel = ctypes.CDLL(lib)
+        dfs, dec = kernel.bw_dfs, kernel.bw_decide
     except (OSError, AttributeError):
         return None
     u64_p = ctypes.POINTER(ctypes.c_uint64)
     int_p = ctypes.POINTER(ctypes.c_int)
-    fn.argtypes = [ctypes.c_int, u64_p, int_p, int_p, int_p, ctypes.c_uint64, ctypes.c_double, int_p, u64_p]
-    fn.restype = ctypes.c_int
-    return fn
+    tail = [ctypes.c_uint64, ctypes.c_double, int_p, u64_p]  # max_states, deadline, path or pos, out
+    dfs.argtypes = [ctypes.c_int, u64_p, int_p, int_p, int_p, *tail]
+    dec.argtypes = [ctypes.c_int, ctypes.c_int, u64_p, int_p, int_p, *tail]
+    dfs.restype = dec.restype = ctypes.c_int
+    return kernel
 
 
 def _compile_kernel(source: str, lib: str) -> bool:

@@ -30,6 +30,7 @@ from .search import (
     YES,
     SearchStats,
     WitnessError,
+    c_decide,
     dfs_decide,
     per_run_state_ceiling,
 )
@@ -109,14 +110,16 @@ def decide(
 ) -> DecideResult:
     """Does g admit an ordering of bandwidth <= b?
 
-    Streams the segment assignments over the BFS spanning tree that pass
-    the edge filter into the state search, one run each, in `workers`
-    forked processes when there are more than one. Results are taken in
-    stream order, so the answer, witness and counters do not depend on
-    `workers`. First witness wins; "no" means all accepted assignments
-    were exhausted; "unknown" means a budget cap fired, or a worker
-    died, before either. `deadline` is an absolute time.monotonic()
-    instant; without one, the budget's max_seconds counts from now.
+    Searches each segment assignment over the BFS spanning tree that
+    passes the edge filter, in stream order. A serial decide with
+    n <= C_KERNEL_MAX_N is one compiled call that walks the stream too
+    (c_decide); otherwise enumerate_assignments feeds dfs_decide, in
+    `workers` forked processes when there are more than one. The answer,
+    witness and counters do not depend on the path. First witness wins;
+    "no" means all accepted assignments were exhausted; "unknown" means
+    a budget cap fired, or a worker died, before either. `deadline` is
+    an absolute time.monotonic() instant; without one, the budget's
+    max_seconds counts from now.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -135,6 +138,11 @@ def decide(
     )
     if deadline is None:
         deadline = budget.deadline()
+    compiled = c_decide(g, b, tree, budget.max_states, deadline=deadline) if workers == 1 else None
+    if compiled is not None:
+        status, pos, stats.runs, stats.states_total, stats.states_max_run = compiled
+        stats.assignments_generated, stats.kernel = stats.runs, "c" if stats.runs else None
+        return DecideResult(status, pos, stats)
 
     def run(lo):
         return dfs_decide(g, b, tree, lo, max_states=budget.max_states, deadline=deadline)

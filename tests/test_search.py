@@ -1,8 +1,10 @@
 import itertools
 import random
+import re
 import shutil
 import subprocess
 import time
+import types
 from unittest import mock
 
 import pytest
@@ -23,9 +25,9 @@ from reference_search import (
 )
 
 from bwexact.assignments import enumerate_assignments
-from bwexact import search
+from bwexact import search, solve
 from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
-from bwexact.solve import decide, minimize_bandwidth
+from bwexact.solve import Budget, decide, minimize_bandwidth
 from bwexact.search import (
     C_KERNEL_MAX_N,
     NO,
@@ -175,6 +177,9 @@ class TestDfsDecide:
                     assert consistency_witness(lo, tree, b, pos)
 
     def test_one_plan_per_decide(self, monkeypatch):
+        # Plans serve the loop over enumerate_assignments, which a serial
+        # decide takes when the compiled walk is not there.
+        monkeypatch.setattr(solve, "c_decide", lambda *args, **kwargs: None)
         built = []
 
         class CountingPlan(search.SearchPlan):
@@ -340,6 +345,47 @@ class TestKernelEquivalence:
         assert_kernels_agree(g, 3, limit=30, deadline=time.monotonic() + 600)
 
 
+def loop_decide(g, b, budget=None):
+    """decide without the compiled walk: the loop over
+    enumerate_assignments, each run on the compiled kernel."""
+    with mock.patch.object(solve, "c_decide", lambda *args, **kwargs: None):
+        return decide(g, b, budget)
+
+
+def assert_walk_matches_loop(g, b, budget=None):
+    """The compiled walk gives the loop's answer, witness and counters;
+    returns its result."""
+    assert search.c_decide(g, b, spanning_tree(g, 0), max_states=1) is not None
+    walk, loop = decide(g, b, budget), loop_decide(g, b, budget)
+    assert (walk.status, walk.ordering) == (loop.status, loop.ordering), (g, b)
+    assert walk.stats.to_dict() == loop.stats.to_dict(), (g, b)
+    return walk
+
+
+@pytest.mark.usefixtures("compiled_kernel")
+class TestCompiledWalk:
+    def test_acceptance_corpus(self):
+        statuses = {assert_walk_matches_loop(g, b).status for g in acceptance_corpus() for b in range(1, g.n)}
+        assert statuses == {YES, NO}
+
+    @pytest.mark.parametrize("g, b, budget, status, runs", [
+        (generate("path", 16), 1, None, YES, 1_684),
+        (generate("cycle", 17), 1, None, NO, 73_664),
+        (generate("random_tree", 20), 2, None, NO, 28_280),
+        (generate("random_gnp", 18, 0.2), 3, Budget(max_states=5), UNKNOWN, 1_584),
+    ], ids=["path16", "cycle17", "random_tree20", "gnp18-capped"])
+    def test_long_streams(self, g, b, budget, status, runs):
+        res = assert_walk_matches_loop(g, b, budget)
+        assert (res.status, res.stats.runs, res.stats.kernel) == (status, runs, "c")
+
+    @pytest.mark.parametrize("b", [-1, 0, 5])
+    def test_rejects_b_outside_1_to_n(self, b):
+        # The walk divides by b + 1 and steps positions by it.
+        g = generate("path", 5)
+        with pytest.raises(ValueError):
+            search.c_decide(g, b, spanning_tree(g, 0))
+
+
 @pytest.mark.usefixtures("compiled_kernel")
 class TestUnprunedReference:
     """The feasibility prune drops only states with no completion, so
@@ -397,6 +443,13 @@ class TestKernelSource:
         assert proc.returncode == 0, proc.stderr
         assert lib.exists()
 
+    def test_maxn_matches_python_gate(self):
+        # The kernel's per-vertex arrays hold MAXN entries, and Python
+        # sends it graphs with up to C_KERNEL_MAX_N vertices.
+        with open(search._KERNEL_SOURCE, encoding="utf-8") as fh:
+            (maxn,) = re.findall(r"^#define MAXN (\d+)$", fh.read(), re.M)
+        assert int(maxn) == C_KERNEL_MAX_N
+
 
 class TestKernelFallback:
     def test_above_max_n_runs_python(self):
@@ -406,6 +459,7 @@ class TestKernelFallback:
         lo = next(enumerate_assignments(g, tree, 1))
         status, pos, stats = dfs_decide(g, 1, tree, lo)
         assert stats.kernel == "python"
+        assert search.c_decide(g, 1, tree) is None
         assert status in (YES, NO)
         if status == YES:
             assert ordering_bandwidth(g, pos) <= 1
@@ -465,3 +519,14 @@ class TestWitnessCheck:
             monkeypatch.setattr(search, "_c_kernel", lambda: None)
         with pytest.raises(WitnessError):
             dfs_decide(g, 1, tree, lo)
+
+    def test_bad_witness_from_compiled_walk_raises(self, monkeypatch):
+        # The walk says yes with vertices 0 and 1 of the path two apart.
+        def bad_decide(n, b, adj, order, parent, max_states, deadline, pos, out):
+            pos[:] = [1, 3, 2, 4]
+            out[0] = 1
+            return 1
+
+        monkeypatch.setattr(search, "_c_kernel", lambda: types.SimpleNamespace(bw_decide=bad_decide))
+        with pytest.raises(WitnessError):
+            decide(generate("path", 4), 1)

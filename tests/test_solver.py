@@ -177,6 +177,20 @@ class TestDecide:
         assert res.status == UNKNOWN
         assert time.monotonic() - start < 0.5 + 2.0
 
+    def test_serial_decide_honours_deadline(self):
+        # One compiled call takes the whole decide (about 0.3 s here), so
+        # the kernel itself must stop it at the deadline.
+        g = generate("random_tree", 21, seed=0)
+        full = decide(g, 2)
+        assert full.status == NO
+        start = time.monotonic()
+        res = decide(g, 2, Budget(max_seconds=0.02))
+        assert time.monotonic() - start < 0.02 + 0.5
+        assert res.status == UNKNOWN
+        assert res.stats.runs < full.stats.runs
+        timed = decide(g, 2, Budget(max_seconds=60))
+        assert (timed.status, timed.stats.to_dict()) == (NO, full.stats.to_dict())
+
     def test_kernel_reported(self):
         assert decide(generate("cycle", 6), 2).stats.kernel in ("c", "python")
         assert decide(generate("star", 21), 11).stats.kernel == "python"
@@ -228,21 +242,21 @@ class TestMinimize:
 
     def test_one_deadline_per_solve(self, monkeypatch):
         # A solve of two components makes several decide calls; every
-        # search run must get the deadline fixed when the solve began.
+        # compiled decide must get the deadline fixed when the solve began.
         deadlines, call_times, decides = [], [], []
-        real_decide, real_dfs = solve.decide, solve.dfs_decide
+        real_decide, real_c_decide = solve.decide, solve.c_decide
 
         def counting_decide(*args, **kwargs):
             decides.append(1)
             return real_decide(*args, **kwargs)
 
-        def recording_dfs(*args, **kwargs):
+        def recording_c_decide(*args, **kwargs):
             call_times.append(time.monotonic())
             deadlines.append(kwargs["deadline"])
-            return real_dfs(*args, **kwargs)
+            return real_c_decide(*args, **kwargs)
 
         monkeypatch.setattr(solve, "decide", counting_decide)
-        monkeypatch.setattr(solve, "dfs_decide", recording_dfs)
+        monkeypatch.setattr(solve, "c_decide", recording_c_decide)
         a = generate("random_gnp", 8, 0.5, seed=1)
         b = generate("cycle", 7)
         g = Graph(15, list(a.edges) + [(u + 8, v + 8) for u, v in b.edges])
