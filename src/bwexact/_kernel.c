@@ -1,5 +1,7 @@
 /* Compiled kernel: bw_dfs is the phase-2 state search for one segment
- * assignment, and bw_decide a whole serial decide over the phase-1 walk.
+ * assignment, and bw_decide a decide over the phase-1 walk, or over the
+ * part of it under a range of root choices. Python calls bw_decide
+ * only; bw_dfs stays exported so that the tests can check it run by run.
  *
  * bw_dfs runs the same search as the Python loop in search.py, in the
  * same order, so it visits the same states and returns the same
@@ -218,18 +220,20 @@ static int fits(int n, int b, int c, int w, uint64_t nbrs, const int *lo, const 
     return 1;
 }
 
-/* One decide: runs bw_dfs on every segment assignment over the spanning
- * tree, in the order of assignments.enumerate_assignments, under the
- * rules of solve.decide. order is the tree's preorder and parent[v] v's
- * parent (-1 at the root); a vertex with no child has a width-4 segment,
- * any other width 2. The root's lo runs from -1 up, an inner child's is
+/* One decide, or one part of it: runs bw_dfs on every segment assignment
+ * over the spanning tree whose root lo lies in root_lo .. root_hi - 1, in
+ * the order of assignments.enumerate_assignments, under the rules of
+ * solve.decide. order is the tree's preorder and parent[v] v's parent
+ * (-1 at the root); a vertex with no child has a width-4 segment, any
+ * other width 2. The root's lo runs up from root_lo, an inner child's is
  * its parent's - 1 then + 1, a leaf's its parent's - 1. The first BW_YES
  * wins, and pos[v] is then v's position. A run stopped by a cap makes
  * the answer BW_UNKNOWN unless a later run says yes, and one that ends
  * unfinished after the deadline ends the decide. out[0] gets the runs,
  * out[1] the states of all runs, out[2] the most states in one run. */
 int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *parent,
-              uint64_t max_states, double deadline, int *pos, uint64_t *out)
+              int root_lo, int root_hi, uint64_t max_states, double deadline, int *pos,
+              uint64_t *out)
 {
     int width[MAXN], step[MAXN], seq[MAXN], lo[MAXN], path[MAXN], next[MAXN], last[MAXN];
     uint64_t earlier[MAXN], seen = 0, run[2];
@@ -247,8 +251,8 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
             step[k] = p / (b + 1);
         }
     out[0] = out[1] = out[2] = 0;
-    next[0] = -1;
-    last[0] = (n + b) / (b + 1) - 1;
+    next[0] = root_lo; /* a root lo past the last base segment holds no position */
+    last[0] = (root_hi < (n + b) / (b + 1) ? root_hi : (n + b) / (b + 1)) - 1;
     for (d = 0;;) {
         int v = order[d], c = next[d], stride = d ? 2 : 1;
         while (c <= last[d] && !fits(n, b, c, width[v], earlier[d], lo, width))

@@ -6,9 +6,11 @@ segment; a child's segment is determined by its parent's up to the
 left/right choice for inner vertices. An assignment is its lo vector,
 lo[v] being the first base segment of v's segment; the widths follow
 from the tree. The stream is lazy, one assignment at a time in
-polynomial space. A serial decide with n <= C_KERNEL_MAX_N walks the
-same stream in the compiled kernel (bw_decide in _kernel.c) instead;
-this generator feeds every other decide, and the tests.
+polynomial space. The root's choice is the outermost loop, so the
+stream falls into parts, one per root lo from -1 up; a parallel decide
+shares them out. A decide with n <= C_KERNEL_MAX_N walks the stream, or
+a part, in the compiled kernel (bw_decide in _kernel.c) instead; this
+generator feeds the Python loop, and the tests.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ def _nonempty(lo: int, hi: int, b: int, n: int) -> bool:
     return max(lo * (b + 1) + 1, 1) <= min(hi * (b + 1), n)
 
 
-def enumerate_assignments(g: Graph, tree: RootedTree, b: int) -> Iterator[tuple[int, ...]]:
+def enumerate_assignments(g: Graph, tree: RootedTree, b: int,
+                          roots: range | None = None) -> Iterator[tuple[int, ...]]:
     """Yield the lo vector of every candidate segment assignment for
-    the tree that passes the edge-distance condition on g.
+    the tree that passes the edge-distance condition on g, and whose
+    root lo lies in `roots` (every root choice if None).
 
     Vertices are assigned in preorder. The root ranges over the width-2
     segments from lo = -1 up; an inner child of a segment starting at i
@@ -52,7 +56,7 @@ def enumerate_assignments(g: Graph, tree: RootedTree, b: int) -> Iterator[tuple[
     earlier = [[u for u in g.adj[v] if rank[u] < d] for d, v in enumerate(order)]
     lo = [0] * n
     # stack[d] holds the untried choices of the vertex at depth d.
-    stack = [iter(range(-1, num_base_segments(n, b)))]
+    stack = [iter(range(-1, num_base_segments(n, b)) if roots is None else roots)]
     while stack:
         d = len(stack) - 1
         v = order[d]

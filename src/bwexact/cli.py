@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--root", type=int, default=0,
                        help="spanning-tree root vertex")
         p.add_argument("--workers", type=int, default=1,
-                       help="search worker processes (default 1); results match serial")
+                       help="worker processes (default 1), each searching the assignments of one "
+                            "root segment at a time; results match serial")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("decide", help="is there an ordering of bandwidth <= b?")

@@ -17,7 +17,6 @@ import hashlib
 import math
 import os
 import shutil
-import threading
 import time
 from dataclasses import dataclass
 
@@ -48,13 +47,12 @@ class SearchStats:
     states_visited: int = 0
     depth_max: int = 0
     result: str = UNKNOWN
-    kernel: str = "python"  # "c" or "python": which kernel ran
 
 
 class SearchPlan:
     """The phase-2 inputs that depend only on the graph, b and the
     spanning tree, shared by every run over the same three; dfs_decide
-    keeps the last one built on each thread (see _plan_for).
+    keeps the last one built (see _plan_for).
 
     step[d] is the base segment filled at depth d, width[v] the width of
     v's segment, adj[v] v's neighbours as a bitmask, and slots[d][s] the
@@ -74,19 +72,6 @@ class SearchPlan:
             row[t] += 1
             rows.append(row)
         self.slots = rows[::-1]
-        self._c_arrays = None
-
-    def c_arrays(self):
-        """The ctypes arguments of bw_dfs that every run shares, plus
-        the lo, path and out buffers that each run overwrites."""
-        if self._c_arrays is None:
-            n = self.g.n
-            ints = ctypes.c_int * n
-            self._c_arrays = (
-                (ctypes.c_uint64 * n)(*self.adj), ints(), ints(*self.width),
-                ints(*self.step), ints(), (ctypes.c_uint64 * 2)(),
-            )
-        return self._c_arrays
 
 
 def dfs_decide(
@@ -104,34 +89,31 @@ def dfs_decide(
     the state space is exhausted, or (UNKNOWN, None, stats) when a
     resource cap fires. The visited set belongs to this run only.
 
-    Runs the compiled kernel (see _kernel.c) when it is available and
-    1 <= n <= C_KERNEL_MAX_N, and the Python loop otherwise; both visit
-    the same states in the same order. Raises WitnessError rather than
-    return an ordering that fails the bandwidth check.
+    The Python loop, run where c_decide cannot be; it visits bw_dfs's
+    states in bw_dfs's order. Raises WitnessError rather than return an
+    ordering that fails the bandwidth check.
     """
     plan = _plan_for(g, b, tree)
-    n = g.n
-    kernel = _c_kernel() if 0 < n <= C_KERNEL_MAX_N else None
-    args = (plan, lo, max_states, deadline)
-    status, path, stats = _dfs_python(*args) if kernel is None else _dfs_c(kernel, *args)
+    status, path, stats = _dfs_python(plan, lo, max_states, deadline)
     stats.result = status
     if status != YES:
         return status, None, stats
-    pos = [0] * n
+    pos = [0] * g.n
     for k, v in enumerate(path):
         pos[v] = plan.corder.sequence[k]
-    return YES, _checked(g, b, pos, stats.kernel), stats
+    return YES, _checked(g, b, pos, "python"), stats
 
 
 def c_decide(g: Graph, b: int, tree: RootedTree, max_states: int = DEFAULT_MAX_STATES,
-             deadline: float | None = None) -> tuple | None:
-    """One compiled call for a serial decide: the runs of dfs_decide over
-    enumerate_assignments(g, tree, b), under solve.decide's rules. None
-    without the compiled kernel or for n > C_KERNEL_MAX_N, else (status,
-    checked ordering or None, runs, states_total, states_max_run)."""
+             deadline: float | None = None, roots: range | None = None) -> tuple | None:
+    """One compiled call: the runs of dfs_decide over
+    enumerate_assignments(g, tree, b, roots) (every root choice if
+    roots is None), under the rules of solve.decide. None when
+    c_kernel_for(n) is, else (status, checked ordering or None, runs,
+    states_total, states_max_run)."""
     if not (1 <= b < g.n and tree.n == g.n):
         raise ValueError(f"c_decide requires 1 <= b < n and a spanning tree, got b={b}, n={g.n}")
-    kernel = _c_kernel() if g.n <= C_KERNEL_MAX_N else None
+    kernel = c_kernel_for(g.n)
     if kernel is None:
         return None
     ints = ctypes.c_int * g.n
@@ -139,10 +121,17 @@ def c_decide(g: Graph, b: int, tree: RootedTree, max_states: int = DEFAULT_MAX_S
     code = kernel.bw_decide(
         g.n, b, (ctypes.c_uint64 * g.n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)),
         ints(*tree.preorder), ints(*(-1 if p is None else p for p in tree.parent)),
-        *_c_budget(max_states, deadline), pos, out,
+        *((-1, g.n) if roots is None else (roots.start, roots.stop)),
+        max(0, min(max_states, _U64_MAX)), math.inf if deadline is None else deadline, pos, out,
     )
     status = _C_STATUS[code]
     return status, _checked(g, b, pos[:], "c") if status == YES else None, out[0], out[1], out[2]
+
+
+def c_kernel_for(n: int):
+    """The compiled kernel when it loads and 1 <= n <= C_KERNEL_MAX_N,
+    else None: whether a decide on n vertices runs in C."""
+    return _c_kernel() if 0 < n <= C_KERNEL_MAX_N else None
 
 
 def _checked(g: Graph, b: int, pos: list[int], kernel: str) -> list[int]:
@@ -152,16 +141,16 @@ def _checked(g: Graph, b: int, pos: list[int], kernel: str) -> list[int]:
     return pos
 
 
-# The last SearchPlan built on each thread: the runs of one decide share
-# their graph, b and tree, and a plan's run buffers must not be shared
-# across threads.
-_plans = threading.local()
+# The last SearchPlan built: the runs of one decide share their graph,
+# b and tree. A plan is only read, so threads may share it.
+_last_plan: SearchPlan | None = None
 
 
 def _plan_for(g: Graph, b: int, tree: RootedTree) -> SearchPlan:
-    plan = getattr(_plans, "last", None)
+    global _last_plan
+    plan = _last_plan
     if plan is None or plan.g is not g or plan.b != b or plan.tree is not tree:
-        plan = _plans.last = SearchPlan(g, b, tree)
+        plan = _last_plan = SearchPlan(g, b, tree)
     return plan
 
 
@@ -177,7 +166,7 @@ def _dfs_python(plan, lo, max_states, deadline):
     assigned = [-1] * n
     path: list[int] = []
     visited = {0}
-    stats = SearchStats(states_visited=1, kernel="python")
+    stats = SearchStats(states_visited=1)
 
     def visit(key: int, depth: int, ok: list[int], unplaced: int) -> bool:
         if depth > stats.depth_max:
@@ -289,27 +278,13 @@ _C_STATUS = (NO, YES, UNKNOWN, UNKNOWN)
 _U64_MAX = (1 << 64) - 1
 
 
-def _c_budget(max_states, deadline):
-    """The state cap and deadline as the compiled kernel takes them."""
-    return max(0, min(max_states, _U64_MAX)), math.inf if deadline is None else deadline
-
-
-def _dfs_c(kernel, plan, lo, max_states, deadline):
-    """The compiled kernel behind the same (status, path, stats) contract."""
-    adj, c_lo, width, step, path, out = plan.c_arrays()
-    c_lo[:] = lo
-    code = kernel.bw_dfs(len(lo), adj, c_lo, width, step, *_c_budget(max_states, deadline), path, out)
-    status = _C_STATUS[code]
-    stats = SearchStats(states_visited=out[0], depth_max=out[1], kernel="c")
-    return status, path[:] if status == YES else None, stats
-
-
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 
 
 @functools.cache
 def _c_kernel():
-    """The compiled kernel (bw_dfs, bw_decide), or None when it cannot be had.
+    """The compiled kernel with bw_decide declared, or None when it
+    cannot be had.
 
     The library is built once per source version into this package's
     __pycache__, named by the source's sha256, and loaded from there by
@@ -326,15 +301,15 @@ def _c_kernel():
         return None
     try:
         kernel = ctypes.CDLL(lib)
-        dfs, dec = kernel.bw_dfs, kernel.bw_decide
+        dec = kernel.bw_decide
     except (OSError, AttributeError):
         return None
     u64_p = ctypes.POINTER(ctypes.c_uint64)
     int_p = ctypes.POINTER(ctypes.c_int)
-    tail = [ctypes.c_uint64, ctypes.c_double, int_p, u64_p]  # max_states, deadline, path or pos, out
-    dfs.argtypes = [ctypes.c_int, u64_p, int_p, int_p, int_p, *tail]
-    dec.argtypes = [ctypes.c_int, ctypes.c_int, u64_p, int_p, int_p, *tail]
-    dfs.restype = dec.restype = ctypes.c_int
+    # n, b, adj, order, parent, root_lo, root_hi, max_states, deadline, pos, out
+    dec.argtypes = [ctypes.c_int, ctypes.c_int, u64_p, int_p, int_p, ctypes.c_int, ctypes.c_int,
+                    ctypes.c_uint64, ctypes.c_double, int_p, u64_p]
+    dec.restype = ctypes.c_int
     return kernel
 
 

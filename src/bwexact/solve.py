@@ -7,18 +7,20 @@ oracle.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import multiprocessing
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from multiprocessing.connection import wait
 
 from .assignments import enumerate_assignments
 from .geometry import color_order  # noqa: F401 (perfbench/spans.py wraps solve.color_order)
+from .geometry import num_base_segments
 from .graph import (
     Graph,
     GraphError,
+    RootedTree,
     connected_components,
     ordering_bandwidth,
     spanning_tree,
@@ -28,9 +30,9 @@ from .search import (
     NO,
     UNKNOWN,
     YES,
-    SearchStats,
     WitnessError,
     c_decide,
+    c_kernel_for,
     dfs_decide,
     per_run_state_ceiling,
 )
@@ -65,12 +67,6 @@ class DecideStats:
     leaf_count: int = 0
     per_run_ceiling: int = 0
     kernel: str | None = None  # phase-2 kernel that ran: "c", "python", "mixed"
-
-    def record_run(self, visited: int, kernel: str) -> None:
-        self.runs += 1
-        self.states_total += visited
-        self.states_max_run = max(self.states_max_run, visited)
-        self._add_kernel(kernel)
 
     def _add_kernel(self, kernel: str | None) -> None:
         if self.kernel is None:
@@ -111,15 +107,16 @@ def decide(
     """Does g admit an ordering of bandwidth <= b?
 
     Searches each segment assignment over the BFS spanning tree that
-    passes the edge filter, in stream order. A serial decide with
-    n <= C_KERNEL_MAX_N is one compiled call that walks the stream too
-    (c_decide); otherwise enumerate_assignments feeds dfs_decide, in
-    `workers` forked processes when there are more than one. The answer,
-    witness and counters do not depend on the path. First witness wins;
-    "no" means all accepted assignments were exhausted; "unknown" means
-    a budget cap fired, or a worker died, before either. `deadline` is
-    an absolute time.monotonic() instant; without one, the budget's
-    max_seconds counts from now.
+    passes the edge filter, in stream order. The stream falls into
+    parts by the root's segment, lo[root] = -1, 0, ... (see
+    assignments), each computed by walk. A serial decide walks the
+    whole stream; with `workers` above 1, the parts go to that many
+    forked processes, one part per worker at a time, and are taken
+    back in stream order, so the answer, witness and counters are the
+    same. First witness wins; "no" means all accepted assignments were
+    exhausted; "unknown" means a budget cap fired, or a worker died,
+    before either. `deadline` is an absolute time.monotonic() instant;
+    without one, the budget's max_seconds counts from now.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -138,92 +135,114 @@ def decide(
     )
     if deadline is None:
         deadline = budget.deadline()
-    compiled = c_decide(g, b, tree, budget.max_states, deadline=deadline) if workers == 1 else None
-    if compiled is not None:
-        status, pos, stats.runs, stats.states_total, stats.states_max_run = compiled
-        stats.assignments_generated, stats.kernel = stats.runs, "c" if stats.runs else None
-        return DecideResult(status, pos, stats)
+    if workers == 1:
+        status, pos, runs, states, max_run = walk(g, b, tree, None, budget.max_states, deadline)
+    else:
+        roots = range(-1, num_base_segments(g.n, b))
+        parts = _forked_runs([range(c, c + 1) for c in roots],
+                             lambda part: walk(g, b, tree, part, budget.max_states, deadline), workers)
+        try:
+            status, pos, runs, states, max_run = _combine(parts, deadline)
+        finally:
+            parts.close()
+    stats.runs = stats.assignments_generated = runs
+    stats.states_total, stats.states_max_run = states, max_run
+    if runs:
+        stats.kernel = "python" if c_kernel_for(g.n) is None else "c"
+    return DecideResult(status, pos, stats)
 
-    def run(lo):
-        return dfs_decide(g, b, tree, lo, max_states=budget.max_states, deadline=deadline)
 
-    stream = enumerate_assignments(g, tree, b)
-    results = map(run, stream) if workers == 1 else _forked_runs(stream, run, workers)
+def walk(g: Graph, b: int, tree: RootedTree, roots: range | None, max_states: int,
+         deadline: float | None) -> tuple:
+    """The part of decide's stream whose root lo lies in `roots` (all of
+    it if None): (status, ordering or None, runs, states, largest run's
+    states), as _combine folds its runs. One compiled call (c_decide)
+    when c_kernel_for(n) allows it, else the Python loop of dfs_decide
+    over enumerate_assignments; the choice of kernel is made here only."""
+    found = c_decide(g, b, tree, max_states=max_states, deadline=deadline, roots=roots)
+    if found is not None:
+        return found
+    runs = (dfs_decide(g, b, tree, lo, max_states=max_states, deadline=deadline)
+            for lo in enumerate_assignments(g, tree, b, roots))
+    return _combine(((status, pos, 1, r.states_visited, r.states_visited) for status, pos, r in runs),
+                    deadline)
+
+
+def _combine(results, deadline: float | None) -> tuple:
+    """Fold (status, ordering, runs, states, max_run) results, taken in
+    stream order, into one under decide's rules: the first YES wins; an
+    UNKNOWN (a capped run, a dead worker) makes the answer UNKNOWN
+    unless a later result is YES; an UNKNOWN past the deadline ends the
+    fold. Runs and states add up, and max_run is the largest. Used on
+    the runs of a Python part and on the parts of a decide."""
     unknown_seen = False
-    try:
-        for status, pos, run_stats in results:
-            stats.assignments_generated += 1
-            stats.record_run(run_stats.states_visited, run_stats.kernel)
-            if status == YES:
-                return DecideResult(YES, pos, stats)
-            if status == UNKNOWN:
-                # Each run gets the deadline, and one started after it
-                # returns UNKNOWN at once, so only such runs need the check.
-                if deadline is not None and time.monotonic() > deadline:
-                    return DecideResult(UNKNOWN, None, stats)
-                unknown_seen = True
-    finally:
-        if workers > 1:
-            results.close()
-    return DecideResult(UNKNOWN if unknown_seen else NO, None, stats)
+    runs = states = max_run = 0
+    for status, pos, r, s, m in results:
+        runs += r
+        states += s
+        max_run = max(max_run, m)
+        if status == YES:
+            return YES, pos, runs, states, max_run
+        if status == UNKNOWN:
+            # Each run gets the deadline, and one started after it
+            # returns UNKNOWN at once, so only such results need the check.
+            if deadline is not None and time.monotonic() > deadline:
+                return UNKNOWN, None, runs, states, max_run
+            unknown_seen = True
+    return UNKNOWN if unknown_seen else NO, None, runs, states, max_run
 
 
-# A parallel decide sends assignments to a worker in chunks of _CHUNK,
-# with at most _CHUNKS_PER_WORKER chunks per worker ahead of its loop;
-# one assignment per message spends more time on the pipes than on
-# the search when runs are short.
-_CHUNK = 8
-_CHUNKS_PER_WORKER = 2
-# The result of a run whose worker process died.
-_LOST = (UNKNOWN, None, SearchStats(kernel=None))
+# The result of a part whose worker process died.
+_LOST = (UNKNOWN, None, 0, 0, 0)
 
 
 def _forked_runs(tasks, run, workers):
-    """Yield run(task) for each of `tasks`, in order, computed in
-    `workers` forked processes that each own a pipe.
+    """Yield run(task) for each of the list `tasks`, in order, computed
+    in `workers` forked processes (fewer if there are fewer tasks) that
+    each own a pipe and hold one task at a time.
 
-    Chunk i of the tasks goes to worker i % workers, so each pipe
-    answers its chunks in the order they are read back here; tasks are
-    pulled on the calling thread. A worker stops a chunk after the
-    first YES, where decide stops too. The runs of a chunk whose worker
-    died yield _LOST, and once every worker has died the stream is left
-    unread; an exception raised by run is re-raised here. Closing the
-    generator kills and joins every worker.
+    A worker gets the next task as soon as it is free, and results that
+    come back early wait here for their turn. A task whose worker died
+    yields _LOST, and once every worker has died the stream ends; an
+    exception raised by run is re-raised here. Closing the generator
+    kills and joins every worker.
     """
     ctx = multiprocessing.get_context("fork")
     procs, conns = [], []
     try:
-        for _ in range(workers):
+        for _ in range(min(workers, len(tasks))):
             conn, child_conn = ctx.Pipe()
             proc = ctx.Process(target=_serve, args=(child_conn, run), daemon=True)
             proc.start()
             child_conn.close()
             procs.append(proc)
             conns.append(conn)
-        in_flight = deque()  # (pipe, size) of each chunk sent, oldest first
-        tasks = iter(tasks)
-        for i in itertools.count():
-            chunk = list(itertools.islice(tasks, _CHUNK))
-            if chunk:
-                conn = conns[i % workers]
-                with contextlib.suppress(OSError):  # a dead worker shows as EOF below
-                    conn.send(chunk)
-                in_flight.append((conn, len(chunk)))
-            elif not in_flight:
-                return
-            if chunk and len(in_flight) < _CHUNKS_PER_WORKER * workers:
-                continue
-            conn, size = in_flight.popleft()
-            try:
-                outs = conn.recv()
-            except (EOFError, OSError):
-                outs = [_LOST] * size
-            for out in outs:
-                if isinstance(out, BaseException):
-                    raise out
-                yield out
-            if outs[0] is _LOST and not any(proc.is_alive() for proc in procs):
-                return  # no worker is left to run the rest of the stream
+        idle = conns[:]  # live workers holding no task
+        busy = {}  # pipe -> index of the task its worker holds
+        done = {}  # index -> result not yet yielded
+        todo = deque(enumerate(tasks))
+        for i in range(len(tasks)):
+            while i not in done:
+                while idle and todo:
+                    k, task = todo.popleft()
+                    conn = idle.pop()
+                    with contextlib.suppress(OSError):  # a dead worker shows as EOF below
+                        conn.send(task)
+                    busy[conn] = k
+                if not busy:
+                    return  # every worker has died, each on a task that yielded _LOST
+                for conn in wait(list(busy)):
+                    k = busy.pop(conn)
+                    try:
+                        done[k] = conn.recv()
+                    except (EOFError, OSError):
+                        done[k] = _LOST
+                    else:
+                        idle.append(conn)
+            out = done.pop(i)
+            if isinstance(out, BaseException):
+                raise out
+            yield out
     finally:
         for proc in procs:
             proc.kill()
@@ -234,24 +253,16 @@ def _forked_runs(tasks, run, workers):
 
 
 def _serve(conn, run):
-    """A worker of _forked_runs: answer each chunk of tasks with the
-    list of run(task), up to the first YES or exception raised."""
-    while True:
-        try:
-            chunk = conn.recv()
-        except EOFError:
-            return
-        outs = []
-        for task in chunk:
+    """A worker of _forked_runs: answer each task with run(task), or
+    with the exception that it raised, until the pipe closes."""
+    with contextlib.suppress(EOFError):
+        while True:
+            task = conn.recv()
             try:
                 out = run(task)
             except Exception as exc:
-                outs.append(exc)
-                break
-            outs.append(out)
-            if out[0] == YES:
-                break
-        conn.send(outs)
+                out = exc
+            conn.send(out)
 
 
 def eccentricities(g: Graph) -> list[int]:

@@ -1,7 +1,9 @@
 """The phase-2 search without the feasibility prune, written for
 reading rather than speed: the reference that both kernels of
-bwexact.search are checked against. Also the phase-1 edge filter and
-the consistency check of an ordering against a segment assignment.
+bwexact.search are checked against. Also the phase-1 edge filter, the
+consistency check of an ordering against a segment assignment, and a
+binding of the compiled per-run kernel bw_dfs, which the package itself
+calls only from inside bw_decide.
 
 A segment assignment is its lo vector over a spanning tree: vertex v
 gets base segments lo[v] .. hi(v) - 1, hi(v) = lo[v] + its width.
@@ -15,11 +17,15 @@ expanded at most once per run.
 
 from __future__ import annotations
 
+import ctypes
+import math
 from dataclasses import dataclass
 
+from bwexact import search
 from bwexact.assignments import segment_width
 from bwexact.geometry import color_order
 from bwexact.graph import Graph, RootedTree
+from bwexact.search import DEFAULT_MAX_STATES, YES, SearchStats
 
 
 def hi(lo: tuple[int, ...], tree: RootedTree, v: int) -> int:
@@ -143,3 +149,52 @@ def unpruned_dfs(
     for k, v in enumerate(path):
         pos[v] = sequence.sequence[k]
     return True, pos, len(visited)
+
+
+def compiled_dfs(
+    g: Graph,
+    b: int,
+    tree: RootedTree,
+    lo: tuple[int, ...],
+    max_states: int = DEFAULT_MAX_STATES,
+    deadline: float | None = None,
+) -> tuple[str, list[int] | None, SearchStats]:
+    """search.dfs_decide's contract, run on the compiled kernel's bw_dfs
+    (the compiled kernel must load): (status, checked ordering or None,
+    stats)."""
+    status, path, stats = _dfs_c(g, b, tree, lo, max_states, deadline)
+    stats.result = status
+    if status != YES:
+        return status, None, stats
+    sequence = color_order(g.n, b).sequence
+    pos = [0] * g.n
+    for k, v in enumerate(path):
+        pos[v] = sequence[k]
+    return YES, search._checked(g, b, pos, "c"), stats
+
+
+def bw_dfs():
+    """The compiled kernel's bw_dfs, its argument types declared."""
+    dfs = search._c_kernel().bw_dfs
+    u64_p, int_p = ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int)
+    # n, adj, lo, width, step, max_states, deadline, path, out
+    dfs.argtypes = [ctypes.c_int, u64_p, int_p, int_p, int_p, ctypes.c_uint64, ctypes.c_double,
+                    int_p, u64_p]
+    dfs.restype = ctypes.c_int
+    return dfs
+
+
+def _dfs_c(g, b, tree, lo, max_states, deadline):
+    """One bw_dfs call: (status, path or None, stats), path[d] being the
+    vertex placed at step d."""
+    n = g.n
+    ints = ctypes.c_int * n
+    path, out = ints(), (ctypes.c_uint64 * 2)()
+    code = bw_dfs()(
+        n, (ctypes.c_uint64 * n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)), ints(*lo),
+        ints(*(segment_width(tree, v) for v in range(n))), ints(*color_order(n, b).step_base_segment),
+        max(0, min(max_states, (1 << 64) - 1)), math.inf if deadline is None else deadline, path, out,
+    )
+    status = search._C_STATUS[code]
+    stats = SearchStats(states_visited=out[0], depth_max=out[1])
+    return status, path[:] if status == YES else None, stats

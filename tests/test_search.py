@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_search
 from conftest import all_b_orderings, connected_graphs
 from reference_search import (
     SearchState,
+    bw_dfs,
+    compiled_dfs,
     consistency_witness,
     decode_state,
     edge_filter,
@@ -25,11 +28,13 @@ from reference_search import (
 )
 
 from bwexact.assignments import enumerate_assignments
+from bwexact.geometry import num_base_segments
 from bwexact import search, solve
 from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
 from bwexact.solve import Budget, decide, minimize_bandwidth
 from bwexact.search import (
     C_KERNEL_MAX_N,
+    DEFAULT_MAX_STATES,
     NO,
     UNKNOWN,
     YES,
@@ -224,17 +229,13 @@ def outcome(out):
 
 
 def python_kernel(g, b, tree, lo, **kw):
-    """dfs_decide with the compiled kernel unavailable."""
-    with mock.patch.object(search, "_c_kernel", lambda: None):
-        out = dfs_decide(g, b, tree, lo, **kw)
-    assert out[2].kernel == "python"
-    return out
+    """One run of the Python loop."""
+    return dfs_decide(g, b, tree, lo, **kw)
 
 
 def c_kernel(g, b, tree, lo, **kw):
-    out = dfs_decide(g, b, tree, lo, **kw)
-    assert out[2].kernel == "c"
-    return out
+    """One run of the compiled kernel's bw_dfs."""
+    return compiled_dfs(g, b, tree, lo, **kw)
 
 
 def assert_kernels_agree(g, b, limit=None, **kw):
@@ -348,7 +349,8 @@ class TestKernelEquivalence:
 def loop_decide(g, b, budget=None):
     """decide without the compiled walk: the loop over
     enumerate_assignments, each run on the compiled kernel."""
-    with mock.patch.object(solve, "c_decide", lambda *args, **kwargs: None):
+    with mock.patch.object(solve, "c_decide", lambda *args, **kwargs: None), \
+            mock.patch.object(solve, "dfs_decide", compiled_dfs):
         return decide(g, b, budget)
 
 
@@ -377,6 +379,23 @@ class TestCompiledWalk:
     def test_long_streams(self, g, b, budget, status, runs):
         res = assert_walk_matches_loop(g, b, budget)
         assert (res.status, res.stats.runs, res.stats.kernel) == (status, runs, "c")
+
+    def test_root_parts_match_python_loop(self):
+        # Each part of the stream, lo[root] = c, on its own: the compiled
+        # walk equals the Python loop over the same part, and the parts
+        # folded in order equal the walk over the whole stream.
+        parts = 0
+        for g in acceptance_corpus():
+            tree = spanning_tree(g, 0)
+            for b in range(1, g.n):
+                roots = range(-1, num_base_segments(g.n, b))
+                compiled = [search.c_decide(g, b, tree, roots=range(c, c + 1)) for c in roots]
+                with mock.patch.object(solve, "c_decide", lambda *args, **kwargs: None):
+                    loop = [solve.walk(g, b, tree, range(c, c + 1), DEFAULT_MAX_STATES, None) for c in roots]
+                assert compiled == loop, (g, b)
+                assert solve._combine(compiled, None) == search.c_decide(g, b, tree), (g, b)
+                parts += len(roots)
+        assert parts == 12_925
 
     @pytest.mark.parametrize("b", [-1, 0, 5])
     def test_rejects_b_outside_1_to_n(self, b):
@@ -443,6 +462,16 @@ class TestKernelSource:
         assert proc.returncode == 0, proc.stderr
         assert lib.exists()
 
+    @pytest.mark.usefixtures("compiled_kernel")
+    @pytest.mark.parametrize("name", ["bw_decide", "bw_dfs"])
+    def test_argtypes_match_source(self, name):
+        # ctypes passes whatever it is told: with too few or too many
+        # argument types, the C function reads garbage silently.
+        with open(search._KERNEL_SOURCE, encoding="utf-8") as fh:
+            (params,) = re.findall(rf"^int {name}\(([^)]*)\)", fh.read(), re.M)
+        fn = search._c_kernel().bw_decide if name == "bw_decide" else bw_dfs()
+        assert len(fn.argtypes) == len(params.split(","))
+
     def test_maxn_matches_python_gate(self):
         # The kernel's per-vertex arrays hold MAXN entries, and Python
         # sends it graphs with up to C_KERNEL_MAX_N vertices.
@@ -458,7 +487,6 @@ class TestKernelFallback:
         tree = spanning_tree(g, 0)
         lo = next(enumerate_assignments(g, tree, 1))
         status, pos, stats = dfs_decide(g, 1, tree, lo)
-        assert stats.kernel == "python"
         assert search.c_decide(g, 1, tree) is None
         assert status in (YES, NO)
         if status == YES:
@@ -470,15 +498,19 @@ class TestKernelFallback:
         tree = spanning_tree(g, 0)
         stream = list(enumerate_assignments(g, tree, 3))
         want = [outcome(c_kernel(g, 3, tree, lo)) for lo in stream]
+        want_decide = decide(g, 3)
         source = tmp_path / "_kernel.c"
         shutil.copy(search._KERNEL_SOURCE, source)
         monkeypatch.setattr(search, "_KERNEL_SOURCE", str(source))
         monkeypatch.setattr(search, "_compile_kernel", lambda src, lib: False)
         search._c_kernel.cache_clear()
         assert search._c_kernel() is None
-        got = [dfs_decide(g, 3, tree, lo) for lo in stream]
-        assert all(out[2].kernel == "python" for out in got)
-        assert [outcome(out) for out in got] == want
+        assert search.c_decide(g, 3, tree) is None
+        assert [outcome(python_kernel(g, 3, tree, lo)) for lo in stream] == want
+        got = decide(g, 3)
+        assert (got.stats.kernel, want_decide.stats.kernel) == ("python", "c")
+        assert (got.status, got.ordering) == (want_decide.status, want_decide.ordering)
+        assert {**got.stats.to_dict(), "kernel": "c"} == want_decide.stats.to_dict()
 
     def test_broken_source_falls_back(self, tmp_path, monkeypatch, fresh_loader):
         source = tmp_path / "_kernel.c"
@@ -514,15 +546,14 @@ class TestWitnessCheck:
         g = generate("path", 4)
         tree = spanning_tree(g, 0)
         lo = next(enumerate_assignments(g, tree, 1))
-        monkeypatch.setattr(search, kernel, lambda *a: (YES, [0, 1, 2, 3], SearchStats()))
-        if kernel == "_dfs_python":
-            monkeypatch.setattr(search, "_c_kernel", lambda: None)
+        module, run = (reference_search, compiled_dfs) if kernel == "_dfs_c" else (search, dfs_decide)
+        monkeypatch.setattr(module, kernel, lambda *a: (YES, [0, 1, 2, 3], SearchStats()))
         with pytest.raises(WitnessError):
-            dfs_decide(g, 1, tree, lo)
+            run(g, 1, tree, lo)
 
     def test_bad_witness_from_compiled_walk_raises(self, monkeypatch):
         # The walk says yes with vertices 0 and 1 of the path two apart.
-        def bad_decide(n, b, adj, order, parent, max_states, deadline, pos, out):
+        def bad_decide(n, b, adj, order, parent, root_lo, root_hi, max_states, deadline, pos, out):
             pos[:] = [1, 3, 2, 4]
             out[0] = 1
             return 1

@@ -104,23 +104,35 @@ class TestDecide:
                 assert pruned == plain
 
     def test_parallel_matches_sequential(self):
+        # Parallel workers take the stream in parts, one per root choice
+        # lo[root] = -1, 0, ...; the answer must not depend on them.
         cases = [
-            (generate("random_gnp", 9, 0.35, seed=11), (2, 3, 4)),
-            # The "yes" at b=2 comes on run 147 of the stream.
-            (generate("random_tree", 14, seed=8), (1, 2)),
+            (generate("random_gnp", 9, 0.35, seed=11), (2, 3, 4), None),
+            # The "yes" at b=2 comes on run 147 of the stream, in the
+            # part lo[root] = 0 after a "no" part lo[root] = -1.
+            (generate("random_tree", 14, seed=8), (1, 2), None),
+            # "no" after 28,280 runs over 8 parts.
+            (generate("random_tree", 20), (2,), None),
+            # Capped runs in several parts: "unknown" after 1,584 runs.
+            (generate("random_gnp", 18, 0.2), (3,), Budget(max_states=5)),
         ]
-        for g, bs in cases:
-            statuses = set()
+        statuses = set()
+        for g, bs, budget in cases:
             for b in bs:
-                seq = decide(g, b)
-                par = decide(g, b, workers=3)
-                assert seq.status == par.status
-                assert seq.ordering == par.ordering
-                assert seq.stats.to_dict() == par.stats.to_dict()
+                seq = decide(g, b, budget)
+                for workers in (2, 3):
+                    par = decide(g, b, budget, workers=workers)
+                    assert seq.status == par.status
+                    assert seq.ordering == par.ordering
+                    assert seq.stats.to_dict() == par.stats.to_dict()
                 if seq.status == YES:
-                    assert ordering_bandwidth(g, par.ordering) <= b
-                statuses.add(seq.status)
-            assert statuses == {YES, NO}
+                    assert ordering_bandwidth(g, seq.ordering) <= b
+                statuses.add((seq.status, seq.stats.runs))
+        assert {(YES, 147), (NO, 28_280), (UNKNOWN, 1_584)} <= statuses
+        g = generate("random_tree", 14, seed=8)
+        tree = spanning_tree(g, 0)
+        first, second = (solve.walk(g, 2, tree, range(c, c + 1), 1 << 26, None)[0] for c in (-1, 0))
+        assert (first, second) == (NO, YES)
 
     @pytest.mark.parametrize("seed", [1, 2, 4])
     def test_parallel_repeated_yes_does_not_hang(self, seed):
@@ -136,28 +148,35 @@ class TestDecide:
         assert out.split() == ["['yes']"]
 
     def test_dead_worker_reports_unknown(self):
-        # Every worker dies on its first run; the parent itself never
-        # searches when workers > 1.
+        # Every worker dies on its first part, whichever kernel walks it;
+        # the parent itself never searches when workers > 1.
         out = run_isolated("""
             import os, time
             from bwexact import solve
             from bwexact.graph import generate
-            solve.dfs_decide = lambda *args, **kwargs: os._exit(1)
-            start = time.monotonic()
-            res = solve.decide(generate("random_gnp", 9, 0.35, seed=11), 3, workers=2)
-            print(res.status, res.ordering, time.monotonic() - start)
+            die = lambda *args, **kwargs: os._exit(1)
+            for c_decide in (die, lambda *args, **kwargs: None):
+                solve.c_decide, solve.dfs_decide = c_decide, die
+                start = time.monotonic()
+                res = solve.decide(generate("random_gnp", 9, 0.35, seed=11), 3, workers=2)
+                print(res.status, res.ordering, time.monotonic() - start)
         """, timeout=30)
-        status, ordering, seconds = out.split()
-        assert (status, ordering) == (UNKNOWN, "None")
-        assert float(seconds) < 5
+        lines = [line.split() for line in out.splitlines()]
+        assert len(lines) == 2
+        for status, ordering, seconds in lines:
+            assert (status, ordering) == (UNKNOWN, "None")
+            assert float(seconds) < 5
 
     def test_worker_exception_reraised(self, monkeypatch):
-        def failing_dfs(*args, **kwargs):
+        # Raised in the compiled part kernel, then in the Python one.
+        def failing(*args, **kwargs):
             raise WitnessError("kernel bug")
 
-        monkeypatch.setattr(solve, "dfs_decide", failing_dfs)
-        with pytest.raises(WitnessError, match="kernel bug"):
-            decide(generate("cycle", 6), 2, workers=2)
+        monkeypatch.setattr(solve, "dfs_decide", failing)
+        for c_decide in (failing, lambda *args, **kwargs: None):
+            monkeypatch.setattr(solve, "c_decide", c_decide)
+            with pytest.raises(WitnessError, match="kernel bug"):
+                decide(generate("cycle", 6), 2, workers=2)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_workers_below_one(self, workers):
