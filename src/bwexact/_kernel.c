@@ -5,14 +5,16 @@
  *
  * bw_dfs runs the same search as the Python loop in search.py, in the
  * same order, so it visits the same states and returns the same
- * witness. A state is a set of vertices, each mapped to a base segment,
- * kept as bitmasks: `assigned`, and val[k], the vertices mapped to base
- * segment k. Vertex v may take base segment t when lo[v] <= t < hi[v],
- * every assigned neighbour holds t or t+1, and no unassigned
- * neighbour's segment starts after t. A child state is then dropped,
+ * witness. A state is a set of vertices, each mapped to a base segment.
+ * Vertex v may take base segment t when t lies in its segment and every
+ * assigned neighbour holds t or t+1: the Hall masks ok[s] kept per depth
+ * state exactly that (see hall), so the candidates at a step with base
+ * segment t are the vertices of ok[t]. A candidate with an unassigned
+ * neighbour whose segment starts after t is skipped by a cheap
+ * pre-check, since hall drops that child too. A child state is dropped,
  * before it is counted or stored, when some window of base segments has
- * fewer steps left than unassigned vertices that can only go there (see
- * hall). The visited set is an open-addressing table of the packed
+ * fewer steps left than unassigned vertices that can only go there. The
+ * visited set is an open-addressing table of the packed
  * 3-bit-per-vertex keys, so n is at most MAXN = 21.
  */
 #include <stdint.h>
@@ -63,12 +65,14 @@ static int grow(table *tb)
 /* Hall-count test on the child state that places v at base segment t.
  * ok[s] holds the parent's unassigned vertices that may still take
  * segment s: s lies in their segment and every assigned neighbour holds
- * s or s+1. The child's masks go to nok. slots[s] counts the steps
- * left after the child with base segment s, and `unplaced` is the
- * child's unassigned set. With m[s] = nok[s] for s that has steps
- * left, and A(w) the segments s with w in m[s], the child is dropped
- * (0) when some A(w) is empty, or when for some window [i, j] more than
- * slots[i] + ... + slots[j] vertices have A(w) inside [i, j]. Every
+ * s or s+1. That is the extension rule, so ok[t] also gives the
+ * candidates at a step with base segment t. The child's masks go to
+ * nok. slots[s] counts the steps left after the child with base
+ * segment s, and `unplaced` is the child's unassigned set. With
+ * m[s] = nok[s] for s that has steps left, and A(w) the segments s
+ * with w in m[s], the child is dropped (0) when some A(w) is empty, or
+ * when for some window [i, j] more than slots[i] + ... + slots[j]
+ * vertices have A(w) inside [i, j]. Every
  * completion matches each unassigned w to its own step left at a
  * segment of A(w), since assigned values never change below a state,
  * so a dropped child has no completion and the search returns what it
@@ -115,20 +119,19 @@ static int past(double deadline)
 int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const int *step,
            uint64_t max_states, double deadline, int *path, uint64_t *out)
 {
-    uint64_t cand[MAXN], late[MAXN], val[MAXN + 1] = {0}, ok[MAXN + 1][MAXN];
+    uint64_t late[MAXN], ok[MAXN + 1][MAXN];
     uint64_t key[MAXN + 1], rem[MAXN + 1], assigned = 0, states = 1, expansions = 1;
     uint64_t all = (1ULL << n) - 1;
     int slots[MAXN + 1][MAXN + 1] = {{0}}, nseg = 0;
     int depth = 0, depth_max = 0, status;
     for (int t = 0; t < n; t++) {
-        cand[t] = late[t] = 0;
+        ok[0][t] = late[t] = 0;
         for (int v = 0; v < n; v++) {
             if (lo[v] <= t && t < lo[v] + width[v])
-                cand[t] |= 1ULL << v;
+                ok[0][t] |= 1ULL << v;
             if (lo[v] > t)
                 late[t] |= 1ULL << v;
         }
-        ok[0][t] = cand[t];
         if (step[t] >= nseg)
             nseg = step[t] + 1;
     }
@@ -148,7 +151,7 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
         status = BW_UNKNOWN;
         goto done;
     }
-    rem[0] = cand[step[0]];
+    rem[0] = ok[0][step[0]];
     for (;;) {
         if (rem[depth] == 0) {
             if (depth == 0) {
@@ -157,13 +160,10 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
             }
             depth--;
             assigned &= ~(1ULL << path[depth]);
-            val[step[depth]] &= ~(1ULL << path[depth]);
             continue;
         }
         int v = __builtin_ctzll(rem[depth]), t = step[depth];
         rem[depth] &= rem[depth] - 1;
-        if (adj[v] & assigned & ~(val[t] | val[t + 1]))
-            continue;
         if (adj[v] & ~assigned & late[t])
             continue;
         uint64_t child = key[depth] | (uint64_t)(1 + t - lo[v]) << (3 * v);
@@ -185,7 +185,6 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
         }
         path[depth] = v;
         assigned |= 1ULL << v;
-        val[t] |= 1ULL << v;
         key[++depth] = child;
         if (depth > depth_max)
             depth_max = depth;
@@ -197,7 +196,7 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
             status = BW_UNKNOWN;
             goto done;
         }
-        rem[depth] = cand[step[depth]] & ~assigned;
+        rem[depth] = ok[depth][step[depth]];
     }
 done:
     free(tb.slot);

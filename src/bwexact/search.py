@@ -33,10 +33,6 @@ NO = "no"
 UNKNOWN = "unknown"
 
 
-class BudgetExhausted(Exception):
-    """Raised internally when a resource cap is hit; surfaces as UNKNOWN."""
-
-
 class WitnessError(RuntimeError):
     """A search returned an ordering that fails the bandwidth check: a
     kernel bug, never to be reported as a yes."""
@@ -46,7 +42,6 @@ class WitnessError(RuntimeError):
 class SearchStats:
     states_visited: int = 0
     depth_max: int = 0
-    result: str = UNKNOWN
 
 
 class SearchPlan:
@@ -95,7 +90,6 @@ def dfs_decide(
     """
     plan = _plan_for(g, b, tree)
     status, path, stats = _dfs_python(plan, lo, max_states, deadline)
-    stats.result = status
     if status != YES:
         return status, None, stats
     pos = [0] * g.n
@@ -155,80 +149,81 @@ def _plan_for(g: Graph, b: int, tree: RootedTree) -> SearchPlan:
 
 
 def _dfs_python(plan, lo, max_states, deadline):
-    """The reference kernel: recursive DFS over states keyed by 3 bits
-    per vertex, 0 for unassigned, else 1 + the offset of its base
-    segment inside its segment. Returns (status, path, stats), path[d]
-    being the vertex placed at step d. A budget cap, or Python's
-    recursion or memory limit, ends the run as UNKNOWN."""
+    """The reference kernel, bw_dfs's loop in Python: the same states in
+    the same order, keyed by 3 bits per vertex, 0 for unassigned, else
+    1 + the offset of its base segment inside its segment. The
+    candidates at a step with base segment t are the unassigned vertices
+    of the Hall mask ok[t] (see _hall_child), lowest first. Returns
+    (status, path, stats), path[d] being the vertex placed at step d. A
+    budget cap, or running out of memory, ends the run as UNKNOWN."""
     n = plan.g.n
-    adj, adj_mask, step, slots = plan.g.adj, plan.adj, plan.step, plan.slots
+    adj, step, slots = plan.adj, plan.step, plan.slots
     hi = [l + w for l, w in zip(lo, plan.width)]
-    assigned = [-1] * n
+    ok = [sum(1 << v for v in range(n) if lo[v] <= s < hi[v]) for s in range(len(slots[0]) - 1)]
+    # late[s]: the vertices in no mask up to s. A neighbour placed at s
+    # leaves them no base segment, so _hall_child would drop that child.
+    late, seen = [], 0
+    for m in ok:
+        seen |= m
+        late.append(~seen)
+    unplaced = (1 << n) - 1
     path: list[int] = []
     visited = {0}
     stats = SearchStats(states_visited=1)
-
-    def visit(key: int, depth: int, ok: list[int], unplaced: int) -> bool:
-        if depth > stats.depth_max:
-            stats.depth_max = depth
-        if depth == n:
-            return True
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhausted("time budget exhausted")
-        t = step[depth]
-        for v in range(n):
-            if assigned[v] >= 0 or not (lo[v] <= t < hi[v]):
-                continue
-            fits = True
-            for u in adj[v]:
-                k = assigned[u]
-                if k >= 0:
-                    if not (k - 1 <= t <= k):
-                        fits = False
-                        break
-                elif lo[u] > t:
-                    fits = False
-                    break
-            if not fits:
-                continue
-            child = key | (1 + t - lo[v]) << (3 * v)
-            if child in visited:
-                continue
-            rest = unplaced & ~(1 << v)
-            child_ok = _hall_child(ok, rest, adj_mask[v], t, slots[depth + 1])
-            if child_ok is None:
-                continue
-            if len(visited) >= max_states:
-                raise BudgetExhausted("state budget exhausted")
-            visited.add(child)
-            stats.states_visited += 1
-            assigned[v] = t
-            path.append(v)
-            if visit(child, depth + 1, child_ok, rest):
-                return True
-            path.pop()
-            assigned[v] = -1
-        return False
-
-    ok = [sum(1 << v for v in range(n) if lo[v] <= s < hi[v]) for s in range(len(slots[0]) - 1)]
-    try:
-        found = visit(0, 0, ok, (1 << n) - 1)
-    except (BudgetExhausted, RecursionError, MemoryError):
-        # visit recurses n deep, so a deep graph can hit Python's limits
-        # before the budget: the run is unfinished, not a "no".
+    if deadline is not None and time.monotonic() > deadline:
         return UNKNOWN, None, stats
-    return (YES, path, stats) if found else (NO, None, stats)
+    stack = [[0, ok, ok[step[0]]]]  # per depth: key, Hall masks, untried candidates
+    try:
+        while stack:
+            key, ok, rem = top = stack[-1]
+            depth = len(path)
+            t = step[depth]
+            while rem:
+                bit = rem & -rem
+                rem ^= bit
+                v = bit.bit_length() - 1
+                if adj[v] & unplaced & late[t]:
+                    continue
+                child = key | (1 + t - lo[v]) << (3 * v)
+                if child in visited:
+                    continue
+                rest = unplaced ^ bit
+                child_ok = _hall_child(ok, rest, adj[v], t, slots[depth + 1])
+                if child_ok is None:
+                    continue
+                if len(visited) >= max_states:
+                    return UNKNOWN, None, stats
+                visited.add(child)
+                stats.states_visited += 1
+                path.append(v)
+                stats.depth_max = max(stats.depth_max, depth + 1)
+                if depth + 1 == n:
+                    return YES, path, stats
+                if deadline is not None and time.monotonic() > deadline:
+                    return UNKNOWN, None, stats
+                top[2], unplaced = rem, rest
+                stack.append([child, child_ok, child_ok[step[depth + 1]] & rest])
+                break
+            else:
+                stack.pop()
+                if path:
+                    unplaced |= 1 << path.pop()
+    except MemoryError:
+        return UNKNOWN, None, stats
+    return NO, None, stats
 
 
 def _hall_child(ok, unplaced, nbrs, t, slots):
     """The child's masks, or None when the child state fails the
     Hall-count test over every window of base segments; hall() in
     _kernel.c states the rule. ok[s] holds the parent's unassigned
-    vertices that may still take base segment s, plus bits of assigned
-    ones that are masked off here with `unplaced`, the child's
-    unassigned set; nbrs is the placed vertex's neighbours and t its
-    base segment. The masks are copied only when the placed vertex has
-    unassigned neighbours.
+    vertices that may still take base segment s (s lies in their
+    segment and every assigned neighbour holds s or s+1), plus bits of
+    assigned ones that are masked off with `unplaced`, the child's
+    unassigned set; so the child's candidates at a step with base
+    segment s are in its ok[s] & unplaced. nbrs is the placed vertex's
+    neighbours and t its base segment. The masks are copied only when
+    the placed vertex has unassigned neighbours.
 
     Only the live segments (those with steps left) are walked, since a
     window holds the same vertices and steps as the live segments inside

@@ -163,7 +163,6 @@ def compiled_dfs(
     (the compiled kernel must load): (status, checked ordering or None,
     stats)."""
     status, path, stats = _dfs_c(g, b, tree, lo, max_states, deadline)
-    stats.result = status
     if status != YES:
         return status, None, stats
     sequence = color_order(g.n, b).sequence

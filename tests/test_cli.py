@@ -5,7 +5,7 @@ import pytest
 
 from bwexact import solve
 from bwexact.cli import main
-from bwexact.graph import generate, parse_graph, write_graph
+from bwexact.graph import generate, ordering_bandwidth, parse_graph, write_graph
 
 
 def write(tmp_path, name, g):
@@ -52,15 +52,17 @@ class TestDecide:
         assert main(["decide", path, "--b", "1"]) == 3
         assert "internal failure" in capsys.readouterr().err
 
-    def test_deep_graph_unknown_exit_2(self, tmp_path, capsys):
-        # n = 1501 is deeper than the Python phase-2 kernel's recursion
-        # can go: its runs end unfinished, which is "unknown", not a crash.
-        path = write(tmp_path, "star1500.g", generate("star", 1500))
+    def test_deep_graph_yes_exit_0(self, tmp_path, capsys):
+        # n = 1501 is deeper than Python's default recursion limit; the
+        # Python phase-2 kernel is a loop, so the easy yes comes back.
+        g = generate("star", 1500)
+        path = write(tmp_path, "star1500.g", g)
         start = time.monotonic()
-        assert main(["decide", path, "--b", "750", "--json"]) == 2
+        assert main(["decide", path, "--b", "750", "--json"]) == 0
         assert time.monotonic() - start < 10
         report = json.loads(capsys.readouterr().out)
-        assert report["status"] == "unknown"
+        assert report["status"] == "yes"
+        assert ordering_bandwidth(g, report["ordering"]) <= 750
         assert report["counters"]["kernel"] == "python"
 
     def test_workers_below_one_exit_3(self, tmp_path, capsys):

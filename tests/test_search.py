@@ -149,9 +149,19 @@ class TestDfsDecide:
         tree = spanning_tree(g, 0)
         lo = next(enumerate_assignments(g, tree, 3))
         assert dfs_decide(g, 3, tree, lo)[2].states_visited > 2
-        status, pos, stats = dfs_decide(g, 3, tree, lo, max_states=2)
+        status, pos, _ = dfs_decide(g, 3, tree, lo, max_states=2)
         assert status == UNKNOWN and pos is None
-        assert stats.result == UNKNOWN
+
+    def test_deep_graph_does_not_recurse(self):
+        # The star K(1,1500) is deeper than Python's default recursion
+        # limit; the Python kernel is one loop, so the run ends in a yes.
+        g = generate("star", 1500)
+        tree = spanning_tree(g, 0)
+        lo = next(enumerate_assignments(g, tree, 750))
+        status, pos, stats = dfs_decide(g, 750, tree, lo)
+        assert status == YES and stats.depth_max == 1501
+        assert ordering_bandwidth(g, pos) <= 750
+        assert consistency_witness(lo, tree, 750, pos)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_per_run_state_bound(self, seed):
