@@ -11,8 +11,8 @@ into four algebraic constraints on kappa:
     parent_right:  2 k^-beta + 2 k^-1 + k^-(1+beta-alpha) <= 1
 
 Each left side is strictly decreasing in kappa, so the smallest feasible
-kappa is the max of the four single-constraint roots. The total state
-count is then bounded by 3(n+1) kappa^n.
+kappa is the root of the largest residual, found by one bisection. The
+total state count is then bounded by 3(n+1) kappa^n.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 CONSTRAINTS = ("leaf", "parent_unset", "parent_left", "parent_right")
+
+TOL = 1e-10  # relative width of the final kappa bracket
+GRID_STEP = 0.005  # coarse weight grid
+REFINE_STEP = 1e-4  # fine grid, GRID_STEP either side of the coarse best
 
 
 @dataclass(frozen=True)
@@ -43,118 +47,89 @@ class McBound:
     binding: tuple[str, ...]
 
 
-def constraint_residuals(kappa, w: McWeights):
-    """Residuals (LHS - 1) of the four constraints; feasible when <= 0.
+def _lhs(kappa, a, b):
+    """Left sides of the four constraints, in CONSTRAINTS order, for
+    scalars or numpy arrays. Each is factored over k^alpha and k^beta,
+    so one evaluation takes two powers."""
+    ka, kb = kappa**a, kappa**b
+    u = 1 / kappa
+    return (
+        4 / np.minimum(kappa, np.minimum(ka, kb)),  # 4 max(k^-1, k^-alpha, k^-beta)
+        u * (2 + u * (2 * kb + ka)),  # 2 k^-1 + 2 k^-(2-beta) + k^-(2-alpha)
+        (1 + u * kb) / ka + 2 * u,  # k^-alpha + k^-(1+alpha-beta) + 2 k^-1
+        (2 + u * ka) / kb + 2 * u,  # 2 k^-beta + k^-(1+beta-alpha) + 2 k^-1
+    )
 
-    Accepts a scalar or a numpy array for kappa.
+
+def constraint_residuals(kappa: float, w: McWeights) -> tuple[float, ...]:
+    """Residuals (LHS - 1) of the four constraints; feasible when <= 0."""
+    return tuple(float(lhs) - 1 for lhs in _lhs(kappa, w.alpha, w.beta))
+
+
+def _kappa(a, b):
+    """Smallest kappa > 1 at which every residual is <= 0, elementwise
+    over scalar or array weights.
+
+    Squares an upper end until it is feasible, then bisects at the
+    geometric mean (so huge roots, from tiny weights, take few steps)
+    until every bracket is within TOL or holds no float between its
+    ends; brackets that got there first only narrow further. The lower
+    end stays infeasible and the upper end feasible, and the upper end
+    is returned, so its residuals are all <= 0.
     """
-    a, b = w.alpha, w.beta
-    k = kappa
-    leaf = np.maximum(4 * k**-1.0, np.maximum(4 * k**-a, 4 * k**-b)) - 1
-    unset = 2 * k**-1.0 + 2 * k ** -(2 - b) + k ** -(2 - a) - 1
-    left = k**-a + k ** -(1 + a - b) + 2 * k**-1.0 - 1
-    right = 2 * k**-b + 2 * k**-1.0 + k ** -(1 + b - a) - 1
-    if np.isscalar(kappa):
-        return float(leaf), float(unset), float(left), float(right)
-    return leaf, unset, left, right
+
+    def infeasible(k):
+        leaf, unset, left, right = _lhs(k, a, b)
+        return np.maximum(np.maximum(leaf, unset), np.maximum(left, right)) > 1
+
+    lo = np.ones(np.shape(a))
+    hi = np.full(np.shape(a), 2.0)
+    while (grow := infeasible(hi)).any():
+        lo, hi = np.where(grow, hi, lo), np.where(grow, hi * hi, hi)
+    while True:
+        mid = np.sqrt(lo * hi)
+        if not ((lo < mid) & (mid < hi) & (hi > lo * (1 + TOL))).any():
+            return hi
+        high = infeasible(mid)
+        lo, hi = np.where(high, mid, lo), np.where(high, hi, mid)
 
 
-def _bisect_root(f, tol: float) -> float:
-    """Root of a strictly decreasing f on (1, inf) with f -> -1 at inf."""
-    lo, hi = 1.0 + 1e-12, 2.0
-    while f(hi) > 0:
-        lo, hi = hi, hi * hi
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    # Upper endpoint: all residuals are <= 0 at the reported value.
-    return hi
-
-
-def kappa_for(w: McWeights, tol: float = 1e-9) -> McBound:
+def kappa_for(w: McWeights) -> McBound:
     """Smallest kappa > 1 satisfying all four constraints.
 
-    Bisection per constraint (each LHS is strictly decreasing in kappa);
-    the answer is the max of the roots, accurate to tol.
+    `binding` names the constraints whose own root lies within 10 TOL
+    (relative) of kappa: those still infeasible just below it.
     """
-    roots = [
-        _bisect_root(lambda k, i=i: constraint_residuals(k, w)[i], tol)
-        for i in range(4)
-    ]
-    kappa = max(roots)
-    slack = max(tol * 10, 1e-12)
-    binding = tuple(
-        name for name, r in zip(CONSTRAINTS, roots) if kappa - r <= slack
-    )
-    return McBound(kappa, binding)
+    if min(w.alpha, w.beta) < 0.004:
+        # The leaf constraint alone puts kappa at 4^(1/weight) or more,
+        # so the bracket would square past the largest float.
+        raise ValueError(f"weights below 0.004 put kappa above 4^250, got {w}")
+    kappa = float(_kappa(w.alpha, w.beta))
+    below = _lhs(kappa * (1 - 10 * TOL), w.alpha, w.beta)
+    return McBound(kappa, tuple(name for name, lhs in zip(CONSTRAINTS, below) if lhs > 1))
 
 
-def _kappa_vectorized(alpha: np.ndarray, beta: np.ndarray, tol: float) -> np.ndarray:
-    """Per-element kappa root over weight arrays, by vectorized bisection
-    on the max of the four residuals (still strictly decreasing).
-
-    Works on x = log(kappa) so tiny weights (huge roots) stay bounded
-    and the terms reduce to exp() calls. Accuracy is tol in kappa near
-    the useful range (kappa < 8); far larger roots are resolved only in
-    relative terms, which is irrelevant for the argmin.
-    """
-
-    def worst(x):
-        e = np.exp
-        leaf = np.maximum(4 * e(-x), np.maximum(4 * e(-alpha * x), 4 * e(-beta * x)))
-        unset = 2 * e(-x) + 2 * e(-(2 - beta) * x) + e(-(2 - alpha) * x)
-        left = e(-alpha * x) + e(-(1 + alpha - beta) * x) + 2 * e(-x)
-        right = 2 * e(-beta * x) + 2 * e(-x) + e(-(1 + beta - alpha) * x)
-        return np.maximum(np.maximum(leaf, unset), np.maximum(left, right)) - 1
-
-    lo = np.full(alpha.shape, 1e-12)
-    hi = np.full(alpha.shape, np.log(2.0))
-    for _ in range(64):
-        bad = worst(hi) > 0
-        if not bad.any():
-            break
-        lo = np.where(bad, hi, lo)
-        hi = np.where(bad, hi * 2, hi)
-    tol_x = tol / 8.0
-    while float((hi - lo).max()) > tol_x:
-        mid = (lo + hi) / 2
-        high = worst(mid) > 0
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
-    return np.exp(hi)
-
-
-def optimize_weights(
-    grid_step: float = 0.005,
-    refine_step: float = 1e-4,
-    tol: float = 1e-9,
-) -> tuple[McWeights, McBound]:
+def optimize_weights() -> tuple[McWeights, McBound]:
     """Minimize kappa over (alpha, beta) in (0, 1]^2.
 
     Coarse grid scan followed by a local grid refinement around the best
     coarse point; both stages are vectorized.
     """
-    coarse = np.arange(grid_step, 1.0 + grid_step / 2, grid_step)
-    coarse = np.minimum(coarse, 1.0)
-    a_best, b_best = _grid_argmin(coarse, coarse, tol=1e-7)
+    coarse = np.minimum(np.arange(GRID_STEP, 1.0 + GRID_STEP / 2, GRID_STEP), 1.0)
+    a_best, b_best = _grid_argmin(coarse, coarse)
 
-    fine_a = np.arange(a_best - grid_step, a_best + grid_step + refine_step / 2, refine_step)
-    fine_b = np.arange(b_best - grid_step, b_best + grid_step + refine_step / 2, refine_step)
-    fine_a = fine_a[(fine_a > 0) & (fine_a <= 1.0 + 1e-12)]
-    fine_b = fine_b[(fine_b > 0) & (fine_b <= 1.0 + 1e-12)]
-    a_best, b_best = _grid_argmin(np.minimum(fine_a, 1.0), np.minimum(fine_b, 1.0), tol=tol)
+    def fine(center):
+        vals = np.arange(center - GRID_STEP, center + GRID_STEP + REFINE_STEP / 2, REFINE_STEP)
+        return np.minimum(vals[(vals > 0) & (vals <= 1.0 + 1e-12)], 1.0)
 
-    weights = McWeights(float(a_best), float(b_best))
-    return weights, kappa_for(weights, tol)
+    a_best, b_best = _grid_argmin(fine(a_best), fine(b_best))
+    weights = McWeights(a_best, b_best)
+    return weights, kappa_for(weights)
 
 
-def _grid_argmin(a_vals: np.ndarray, b_vals: np.ndarray, tol: float):
+def _grid_argmin(a_vals: np.ndarray, b_vals: np.ndarray) -> tuple[float, float]:
     A, B = np.meshgrid(a_vals, b_vals, indexing="ij")
-    K = _kappa_vectorized(A, B, tol)
-    i, j = np.unravel_index(int(np.argmin(K)), K.shape)
+    i, j = np.unravel_index(int(np.argmin(_kappa(A, B))), A.shape)
     return float(A[i, j]), float(B[i, j])
 
 

@@ -12,14 +12,9 @@ import sys
 import time
 import traceback
 
-from .analysis import (
-    McWeights,
-    constraint_residuals,
-    kappa_for,
-    optimize_weights,
-)
 from .assignments import max_assignments
 from .graph import FAMILY_PARAMS, Graph, GraphError, generate, parse_graph, write_graph
+from .search import per_run_state_ceiling
 from .solve import (
     Budget,
     OPTIMAL,
@@ -108,16 +103,17 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # Only analyze needs numpy; the solver commands never load it.
+    from .analysis import McWeights, constraint_residuals, kappa_for, optimize_weights
+
     start = time.monotonic()
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
             raise GraphError("analyze needs both --alpha and --beta, or neither")
         weights = McWeights(args.alpha, args.beta)
-        bound = kappa_for(weights, tol=args.tol)
+        bound = kappa_for(weights)
     else:
-        weights, bound = optimize_weights(
-            grid_step=args.grid_step, refine_step=args.refine_step, tol=args.tol
-        )
+        weights, bound = optimize_weights()
     residuals = constraint_residuals(bound.kappa, weights)
     report = _report(args, {
         "alpha": weights.alpha,
@@ -125,7 +121,6 @@ def cmd_analyze(args) -> int:
         "kappa": bound.kappa,
         "residuals": list(residuals),
         "binding": list(bound.binding),
-        "grid_step": args.grid_step,
         "timing": {"wall_seconds": time.monotonic() - start},
     })
     _emit(report, args.json)
@@ -189,7 +184,7 @@ def cmd_bench(args) -> int:
             "status": res.status,
             "states_total": stats["states_total"],
             "states_max_run": stats["states_max_run"],
-            "per_run_ceiling": stats["per_run_ceiling"],
+            "per_run_ceiling": per_run_state_ceiling(n, stats["leaf_count"]),
             "assignments_generated": stats["assignments_generated"],
             "phase1_ceiling": max_assignments(n),
             "wall_seconds": time.monotonic() - start,
@@ -236,9 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="branching-recurrence bound on the state count")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--grid-step", type=float, default=0.005)
-    p.add_argument("--refine-step", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
@@ -260,8 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     args.echo = ["bwexact", *argv]
     try:
         return args.func(args)

@@ -34,7 +34,6 @@ from .search import (
     c_decide,
     c_kernel_for,
     dfs_decide,
-    per_run_state_ceiling,
 )
 
 OPTIMAL = "optimal"
@@ -65,7 +64,6 @@ class DecideStats:
     states_total: int = 0
     states_max_run: int = 0
     leaf_count: int = 0
-    per_run_ceiling: int = 0
     kernel: str | None = None  # phase-2 kernel that ran: "c", "python", "mixed"
 
     def _add_kernel(self, kernel: str | None) -> None:
@@ -80,7 +78,6 @@ class DecideStats:
         self.states_total += other.states_total
         self.states_max_run = max(self.states_max_run, other.states_max_run)
         self.leaf_count = max(self.leaf_count, other.leaf_count)
-        self.per_run_ceiling = max(self.per_run_ceiling, other.per_run_ceiling)
         self._add_kernel(other.kernel)
 
     def to_dict(self) -> dict:
@@ -129,10 +126,7 @@ def decide(
     if budget is None:
         budget = Budget()
     tree = spanning_tree(g, root)  # raises on disconnected input
-    stats = DecideStats(
-        leaf_count=tree.leaf_count,
-        per_run_ceiling=per_run_state_ceiling(g.n, tree.leaf_count),
-    )
+    stats = DecideStats(leaf_count=tree.leaf_count)
     if deadline is None:
         deadline = budget.deadline()
     if workers == 1:
@@ -322,10 +316,13 @@ def minimize_bandwidth(
     Components are solved independently (binary search on b per
     component) and composed into consecutive position blocks, larger
     components first. The budget's max_seconds bounds the whole solve:
-    every decide gets the same deadline.
+    every decide gets the same deadline. `root` must be a vertex of g;
+    a component without it is rooted at its own vertex 0.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if g.n and not (0 <= root < g.n):
+        raise GraphError(f"root {root} out of range")
     if budget is None:
         budget = Budget()
     deadline = budget.deadline()

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -22,6 +23,18 @@ class TestResiduals:
         assert right == pytest.approx(0, abs=1e-12)
         assert left == pytest.approx(4 / 5 - 1, abs=1e-12)
         assert leaf == pytest.approx(4 / 5 - 1, abs=1e-12)
+
+    @pytest.mark.parametrize("kappa", [1.5, 4.83, 10.0, 1e6])
+    @pytest.mark.parametrize("a, b", [(1, 1), (0.8805, 1), (0.6, 0.8), (0.3, 0.05)])
+    def test_matches_the_stated_powers(self, kappa, a, b):
+        k = kappa
+        direct = (
+            max(4 * k**-1, 4 * k**-a, 4 * k**-b) - 1,
+            2 * k**-1 + 2 * k ** -(2 - b) + k ** -(2 - a) - 1,
+            k**-a + k ** -(1 + a - b) + 2 * k**-1 - 1,
+            2 * k**-b + 2 * k**-1 + k ** -(1 + b - a) - 1,
+        )
+        assert constraint_residuals(kappa, McWeights(a, b)) == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
     def test_reference_weights_feasible(self):
         w = McWeights(0.8805, 1)
@@ -52,9 +65,28 @@ class TestKappaFor:
         assert 4.8280 <= bound.kappa <= 4.8290
 
     def test_all_residuals_feasible_at_answer(self):
-        for w in [McWeights(1, 1), McWeights(0.8805, 1), McWeights(0.6, 0.8)]:
+        # Tiny weights put the root far past any absolute tolerance
+        # (4^(1/0.005) = 2^400); the bisection must still end at once.
+        pairs = [(1, 1), (0.8805, 1), (0.6, 0.8), (0.05, 1), (0.01, 1), (0.005, 0.005), (1, 0.005)]
+        for alpha, beta in pairs:
+            w = McWeights(alpha, beta)
+            start = time.monotonic()
             bound = kappa_for(w)
+            assert time.monotonic() - start < 1
             assert all(r <= 0 for r in constraint_residuals(bound.kappa, w))
+        bound = kappa_for(McWeights(0.05, 1))
+        assert bound.kappa == pytest.approx(4**20, rel=1e-9)
+        assert bound.binding == ("leaf",)
+
+    @pytest.mark.parametrize("alpha, beta, kappa, binding", [
+        (0.8805, 1, 4.828484905185178, ("parent_unset", "parent_right")),
+        (1, 1, 5.000000000465661, ("parent_unset", "parent_right")),
+        (0.6, 0.8, 10.079368399688974, ("leaf",)),
+    ])
+    def test_pinned_bounds(self, alpha, beta, kappa, binding):
+        bound = kappa_for(McWeights(alpha, beta))
+        assert bound.kappa == pytest.approx(kappa, rel=1e-9)
+        assert bound.binding == binding
 
     def test_leaf_root_closed_form(self):
         # With the reference weights the leaf constraint roots at
@@ -75,8 +107,8 @@ class TestOptimize:
         weights, bound = optimize_weights()
         assert bound.kappa < 4.83
         assert bound.kappa <= 4.8285 + 1e-3
-        assert abs(weights.alpha - 0.8805) <= 0.01
-        assert abs(weights.beta - 1.0) <= 0.01
+        assert abs(weights.alpha - 0.8805) <= 1e-4 + 1e-12
+        assert abs(weights.beta - 1.0) <= 1e-4 + 1e-12
 
     def test_degenerate_line_gives_five(self):
         # Restricting to alpha = beta = 1 recovers the unweighted bound.
@@ -87,6 +119,9 @@ class TestOptimize:
             McWeights(0, 1)
         with pytest.raises(ValueError):
             McWeights(0.5, 1.2)
+        for w in (McWeights(0.0039, 1), McWeights(1, 1e-300)):
+            with pytest.raises(ValueError, match="4\\^250"):
+                kappa_for(w)
 
 
 class TestTotalStateBound:

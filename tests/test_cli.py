@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import bwexact
 from bwexact import solve
 from bwexact.cli import main
 from bwexact.graph import generate, ordering_bandwidth, parse_graph, write_graph
@@ -60,10 +65,16 @@ class TestDecide:
         start = time.monotonic()
         assert main(["decide", path, "--b", "750", "--json"]) == 0
         assert time.monotonic() - start < 10
-        report = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        report = json.loads(out)
         assert report["status"] == "yes"
         assert ordering_bandwidth(g, report["ordering"]) <= 750
         assert report["counters"]["kernel"] == "python"
+        # JSON readers that hold numbers as doubles must read every
+        # integer in the report exactly.
+        ints = []
+        json.loads(out, parse_int=lambda text: ints.append(int(text)))
+        assert max(ints) < 2**53
 
     def test_workers_below_one_exit_3(self, tmp_path, capsys):
         path = write(tmp_path, "p4.g", generate("path", 4))
@@ -75,6 +86,26 @@ class TestDecide:
         path = tmp_path / "bad.g"
         path.write_text("2 1\n0 5\n")
         assert main(["decide", str(path), "--b", "1"]) == 3
+
+
+class TestUsage:
+    def test_missing_option_exit_3(self, tmp_path, capsys):
+        path = write(tmp_path, "p4.g", generate("path", 4))
+        assert main(["decide", path]) == 3
+        assert "--b" in capsys.readouterr().err
+
+    def test_bad_value_exit_3(self, tmp_path, capsys):
+        path = write(tmp_path, "p4.g", generate("path", 4))
+        assert main(["decide", path, "--b", "1", "--workers", "two"]) == 3
+        assert main(["solve", path, "--frobnicate"]) == 3
+
+    def test_removed_analyze_flag_exit_3(self, capsys):
+        assert main(["analyze", "--tol", "1e-9"]) == 3
+        assert "--tol" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        assert main(["decide", "--help"]) == 0
+        assert "--b" in capsys.readouterr().out
 
 
 class TestSolve:
@@ -124,6 +155,26 @@ class TestAnalyzeCmd:
 
     def test_needs_both_weights(self, capsys):
         assert main(["analyze", "--alpha", "0.5"]) == 3
+
+    def test_only_analyze_loads_numpy(self, tmp_path):
+        # The solver is numpy-free; analyze imports the analysis itself.
+        path = write(tmp_path, "p5.g", generate("path", 5))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bwexact.__file__)))
+        code = textwrap.dedent(f"""
+            import contextlib, io, sys
+            import bwexact
+            from bwexact.cli import main
+            seen = [len(bwexact.__all__)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                seen += [main(["solve", {path!r}]), "numpy" in sys.modules]
+                seen += [main(["analyze", "--alpha", "1", "--beta", "1"]), "numpy" in sys.modules]
+            print(*seen)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["13", "0", "False", "0", "True"]
 
 
 class TestGenCmd:

@@ -234,6 +234,15 @@ class TestMinimize:
         res = minimize_bandwidth(Graph(2, [(0, 1)]))
         assert res.bandwidth == 1
 
+    def test_root_must_be_a_vertex(self):
+        for root in (99, 5, -1):
+            with pytest.raises(GraphError, match="out of range"):
+                minimize_bandwidth(generate("path", 5), root=root)
+        # A root in another component still roots this one at vertex 0.
+        g = Graph(5, [(0, 1), (2, 3), (3, 4)])
+        assert minimize_bandwidth(g, root=1).bandwidth == 1
+        assert minimize_bandwidth(Graph(0, []), root=99).bandwidth == 0
+
     def test_disconnected_composition(self):
         g = Graph(7, [(0, 1), (2, 3), (3, 4), (2, 4), (5, 6)])
         res = minimize_bandwidth(g)
