@@ -9,7 +9,6 @@ of vertex v, a bijection onto 1..n.
 from __future__ import annotations
 
 import random
-from collections import deque
 
 
 class GraphError(ValueError):
@@ -73,7 +72,7 @@ def parse_graph(text: str) -> Graph:
     offending line on malformed input.
     """
     header = None
-    edges = []
+    edges = set()
     expected_m = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -101,7 +100,10 @@ def parse_graph(text: str) -> Graph:
             raise GraphError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < header and 0 <= v < header):
             raise GraphError(f"line {lineno}: vertex out of range for n={header}")
-        edges.append((u, v))
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise GraphError(f"line {lineno}: repeated edge {u} {v}")
+        edges.add(edge)
     if header is None:
         raise GraphError("empty input: missing 'n m' header")
     if len(edges) != expected_m:
@@ -116,38 +118,43 @@ def write_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def bfs(g: Graph, src: int, dist: list[int]) -> tuple[list[int], list[int | None]]:
+    """Breadth-first search from `src` over the vertices v with dist[v] < 0,
+    neighbors in ascending order: sets dist[v] to v's distance from src
+    for each vertex reached, and returns them in visit order with each
+    one's BFS parent (None for src) alongside. Linear in what it reaches."""
+    dist[src] = 0
+    order: list[int] = [src]
+    via: list[int | None] = [None]
+    for u in order:
+        d = dist[u] + 1
+        for w in g.adj[u]:
+            if dist[w] < 0:
+                dist[w] = d
+                order.append(w)
+                via.append(u)
+    return order, via
+
+
 def connected_components(g: Graph) -> list[tuple[Graph, list[int]]]:
     """Split into connected induced subgraphs.
 
     Each component is relabeled to 0..k-1; the second element maps the
     new label back to the original vertex.
     """
-    seen = [False] * g.n
+    dist = [-1] * g.n
     out = []
     for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comp.sort()
-        index = {orig: i for i, orig in enumerate(comp)}
-        sub_edges = [
-            (index[u], index[v]) for u, v in g.edges if u in index and v in index
-        ]
-        out.append((Graph(len(comp), sub_edges), comp))
+        if dist[start] < 0:
+            comp = sorted(bfs(g, start, dist)[0])
+            index = {orig: i for i, orig in enumerate(comp)}
+            sub_edges = [(i, index[w]) for i, u in enumerate(comp) for w in g.adj[u] if u < w]
+            out.append((Graph(len(comp), sub_edges), comp))
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return g.n <= 1 or len(bfs(g, 0, [-1] * g.n)[0]) == g.n
 
 
 class RootedTree:
@@ -156,11 +163,14 @@ class RootedTree:
 
     __slots__ = ("root", "parent", "children", "preorder", "leaves")
 
-    def __init__(self, root: int, parent: list[int | None],
-                 children: list[list[int]]) -> None:
+    def __init__(self, root: int, parent: list[int | None]) -> None:
         self.root = root
         self.parent = tuple(parent)
-        self.children = tuple(tuple(c) for c in children)
+        children: list[list[int]] = [[] for _ in parent]
+        for v, p in enumerate(parent):
+            if p is not None:
+                children[p].append(v)
+        self.children = tuple(map(tuple, children))  # each in ascending order
         order = []
         stack = [root]
         while stack:
@@ -189,24 +199,13 @@ def spanning_tree(g: Graph, root: int = 0) -> RootedTree:
     """
     if not (0 <= root < g.n):
         raise GraphError(f"root {root} out of range for n={g.n}")
-    parent: list[int | None] = [None] * g.n
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    seen = [False] * g.n
-    seen[root] = True
-    queue = deque([root])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                children[u].append(w)
-                queue.append(w)
-                count += 1
-    if count != g.n:
+    order, via = bfs(g, root, [-1] * g.n)
+    if len(order) != g.n:
         raise GraphError("graph is not connected; split into components first")
-    return RootedTree(root, parent, children)
+    parent: list[int | None] = [None] * g.n
+    for v, p in zip(order, via):
+        parent[v] = p
+    return RootedTree(root, parent)
 
 
 def check_ordering(g: Graph, pos: list[int]) -> None:

@@ -21,6 +21,7 @@ from .graph import (
     Graph,
     GraphError,
     RootedTree,
+    bfs,
     connected_components,
     ordering_bandwidth,
     spanning_tree,
@@ -49,8 +50,8 @@ class Budget:
     def __post_init__(self) -> None:
         if self.max_states <= 0:
             raise ValueError("max_states must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
+        if self.max_seconds is not None and not (self.max_seconds > 0):  # NaN too
+            raise ValueError("max_seconds must be a positive number")
 
     def deadline(self) -> float | None:
         """The time.monotonic() instant max_seconds from now, if set."""
@@ -263,19 +264,10 @@ def eccentricities(g: Graph) -> list[int]:
     ecc = []
     for src in range(g.n):
         dist = [-1] * g.n
-        dist[src] = 0
-        queue = deque([src])
-        far = 0
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    far = max(far, dist[w])
-                    queue.append(w)
-        if any(d < 0 for d in dist):
+        order = bfs(g, src, dist)[0]
+        if len(order) != g.n:
             raise GraphError("eccentricity needs a connected graph")
-        ecc.append(far)
+        ecc.append(dist[order[-1]])
     return ecc
 
 

@@ -92,7 +92,7 @@ class TestEnumerate:
 class TestEdgeFilter:
     def chain4(self):
         # Hand-built chain tree so arbitrary lo vectors can be probed.
-        tree = RootedTree(0, [None, 0, 1, 2], [[1], [2], [3], []])
+        tree = RootedTree(0, [None, 0, 1, 2])
         return tree
 
     def test_identical_segments_pass(self):

@@ -82,6 +82,11 @@ class TestDecide:
         assert main(["solve", path, "--workers", "-1"]) == 3
         assert "workers" in capsys.readouterr().err
 
+    def test_nan_seconds_exit_3(self, tmp_path, capsys):
+        path = write(tmp_path, "p5.g", generate("path", 5))
+        assert main(["decide", path, "--b", "1", "--max-seconds", "nan"]) == 3
+        assert "max_seconds" in capsys.readouterr().err
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.g"
         path.write_text("2 1\n0 5\n")

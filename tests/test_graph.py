@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from bwexact.graph import (
     Graph,
     GraphError,
+    RootedTree,
     connected_components,
     generate,
     is_connected,
@@ -13,6 +16,11 @@ from bwexact.graph import (
     spanning_tree,
     write_graph,
 )
+from bwexact.solve import eccentricities
+
+# A perfect matching of 20,000 edges: 20,000 components, so a component
+# split that rescans the whole graph per component takes close to a minute.
+MATCHING = Graph(40_000, [(2 * i, 2 * i + 1) for i in range(20_000)])
 
 
 class TestParse:
@@ -39,6 +47,8 @@ class TestParse:
         ("3\n0 1", "header"),
         ("", "empty"),
         ("2 2\n0 1", "m=2"),
+        ("3 2\n0 1\n1 0", "line 3: repeated edge"),
+        ("3 2\n0 1\n0 1", "line 3: repeated edge"),
     ])
     def test_errors_name_line(self, text, fragment):
         with pytest.raises(GraphError, match=fragment):
@@ -87,6 +97,16 @@ class TestComponents:
                 a, b = orig[u], orig[v]
                 assert (min(a, b), max(a, b)) in g.edges
 
+    def test_matching_is_linear(self):
+        start = time.monotonic()
+        comps = connected_components(MATCHING)
+        assert time.monotonic() - start < 10
+        assert len(comps) == 20_000
+        assert all(comp.n == 2 and comp.m == 1 for comp, _ in comps)
+        start = time.monotonic()
+        assert not is_connected(MATCHING)
+        assert time.monotonic() - start < 10
+
 
 class TestSpanningTree:
     def test_k3(self):
@@ -111,6 +131,65 @@ class TestSpanningTree:
         tree = spanning_tree(g, 3)
         assert sorted(tree.preorder) == list(range(9))
         assert tree.preorder[0] == 3
+
+    def test_children_derived_ascending(self):
+        tree = RootedTree(2, [2, 2, None, 1, 2])
+        assert tree.children == ((), (3,), (0, 1, 4), (), ())
+        assert tree.preorder == (2, 0, 1, 3, 4)
+        assert tree.leaves == {0, 3, 4}
+
+
+def cross_check_corpus():
+    """Seeded G(n, p), some of them disconnected, random trees and caterpillars."""
+    for seed in range(8):
+        yield generate("random_gnp", 12, 0.15, seed=seed, connected=False)
+        yield generate("random_gnp", 10, 0.4, seed=seed, connected=False)
+        yield generate("random_tree", 13, seed=seed)
+        yield generate("caterpillar", 5, 7, seed=seed)
+
+
+class TestAgainstNetworkx:
+    @pytest.fixture
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @staticmethod
+    def to_nx(nx, g):
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges)
+        return G
+
+    def test_components(self, nx):
+        disconnected = 0
+        for g in cross_check_corpus():
+            G = self.to_nx(nx, g)
+            ours = sorted(orig for _, orig in connected_components(g))
+            assert ours == sorted(sorted(c) for c in nx.connected_components(G))
+            assert is_connected(g) == nx.is_connected(G)
+            disconnected += not is_connected(g)
+        assert disconnected >= 4
+
+    def test_eccentricities(self, nx):
+        for g in cross_check_corpus():
+            G = self.to_nx(nx, g)
+            if not nx.is_connected(G):
+                with pytest.raises(GraphError):
+                    eccentricities(g)
+            for comp, orig in connected_components(g):
+                theirs = nx.eccentricity(G.subgraph(orig))
+                assert eccentricities(comp) == [theirs[v] for v in orig]
+
+    def test_spanning_tree_is_sorted_bfs(self, nx):
+        for g in cross_check_corpus():
+            G = self.to_nx(nx, g)
+            # Relabeling keeps the vertex order, so sorted neighbors stay sorted.
+            for comp, orig in connected_components(g):
+                for r in range(comp.n):
+                    parent = {orig[v]: None if p is None else orig[p]
+                              for v, p in enumerate(spanning_tree(comp, r).parent)}
+                    theirs = dict(nx.bfs_predecessors(G, orig[r], sort_neighbors=sorted))
+                    assert parent == {orig[r]: None, **theirs}
 
 
 class TestOrderingBandwidth:

@@ -178,6 +178,12 @@ class TestDecide:
             with pytest.raises(WitnessError, match="kernel bug"):
                 decide(generate("cycle", 6), 2, workers=2)
 
+    @pytest.mark.parametrize("seconds", [0, -1.0, float("nan")])
+    def test_budget_rejects_non_positive_seconds(self, seconds):
+        # A NaN deadline would compare false forever, so no check would fire.
+        with pytest.raises(ValueError, match="positive number"):
+            Budget(max_seconds=seconds)
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_workers_below_one(self, workers):
         with pytest.raises(ValueError):
@@ -242,6 +248,14 @@ class TestMinimize:
         g = Graph(5, [(0, 1), (2, 3), (3, 4)])
         assert minimize_bandwidth(g, root=1).bandwidth == 1
         assert minimize_bandwidth(Graph(0, []), root=99).bandwidth == 0
+
+    def test_perfect_matching_is_linear(self):
+        # 20,000 components; the component split must not rescan g per component.
+        g = Graph(40_000, [(2 * i, 2 * i + 1) for i in range(20_000)])
+        start = time.monotonic()
+        res = minimize_bandwidth(g)
+        assert time.monotonic() - start < 10
+        assert (res.status, res.bandwidth, res.stats["components"]) == (OPTIMAL, 1, 20_000)
 
     def test_disconnected_composition(self):
         g = Graph(7, [(0, 1), (2, 3), (3, 4), (2, 4), (5, 6)])
