@@ -15,13 +15,16 @@
  * before it is counted or stored, when some window of base segments has
  * fewer steps left than unassigned vertices that can only go there. The
  * visited set is an open-addressing table of the packed
- * 3-bit-per-vertex keys, so n is at most MAXN = 21.
+ * 3-bit-per-vertex keys, so n is at most MAXN = 21. Python reads the
+ * limit from bw_maxn, so MAXN is its only copy.
  */
 #include <stdint.h>
 #include <stdlib.h>
 #include <time.h>
 
 #define MAXN 21
+
+const int bw_maxn = MAXN;
 
 enum { BW_NO = 0, BW_YES = 1, BW_UNKNOWN = 2, BW_NOMEM = 3 };
 

@@ -25,8 +25,6 @@ from .geometry import color_order
 from .graph import Graph, RootedTree, ordering_bandwidth
 
 DEFAULT_MAX_STATES = 1 << 26
-# The compiled kernel packs 3 bits per vertex into a 64-bit state key.
-C_KERNEL_MAX_N = 21
 
 YES = "yes"
 NO = "no"
@@ -46,8 +44,8 @@ class SearchStats:
 
 class SearchPlan:
     """The phase-2 inputs that depend only on the graph, b and the
-    spanning tree, shared by every run over the same three; dfs_decide
-    keeps the last one built (see _plan_for).
+    spanning tree, shared by every run over the same three: solve.walk
+    builds one per part. A plan is only read, so threads may share it.
 
     step[d] is the base segment filled at depth d, width[v] the width of
     v's segment, adj[v] v's neighbours as a bitmask, and slots[d][s] the
@@ -70,15 +68,13 @@ class SearchPlan:
 
 
 def dfs_decide(
-    g: Graph,
-    b: int,
-    tree: RootedTree,
+    plan: SearchPlan,
     lo: tuple[int, ...],
     max_states: int = DEFAULT_MAX_STATES,
-    deadline: float | None = None,
+    deadline: float = math.inf,
 ) -> tuple[str, list[int] | None, SearchStats]:
-    """Search for an ordering of bandwidth <= b consistent with the
-    segment assignment lo over the spanning tree (see assignments).
+    """Search for an ordering of bandwidth <= plan.b consistent with the
+    segment assignment lo over plan.tree (see assignments).
 
     Returns (YES, ordering, stats) on success, (NO, None, stats) when
     the state space is exhausted, or (UNKNOWN, None, stats) when a
@@ -88,18 +84,17 @@ def dfs_decide(
     states in bw_dfs's order. Raises WitnessError rather than return an
     ordering that fails the bandwidth check.
     """
-    plan = _plan_for(g, b, tree)
     status, path, stats = _dfs_python(plan, lo, max_states, deadline)
     if status != YES:
         return status, None, stats
-    pos = [0] * g.n
+    pos = [0] * plan.g.n
     for k, v in enumerate(path):
         pos[v] = plan.corder.sequence[k]
-    return YES, _checked(g, b, pos, "python"), stats
+    return YES, _checked(plan.g, plan.b, pos, "python"), stats
 
 
 def c_decide(g: Graph, b: int, tree: RootedTree, max_states: int = DEFAULT_MAX_STATES,
-             deadline: float | None = None, roots: range | None = None) -> tuple | None:
+             deadline: float = math.inf, roots: range | None = None) -> tuple | None:
     """One compiled call: the runs of dfs_decide over
     enumerate_assignments(g, tree, b, roots) (every root choice if
     roots is None), under the rules of solve.decide. None when
@@ -116,16 +111,17 @@ def c_decide(g: Graph, b: int, tree: RootedTree, max_states: int = DEFAULT_MAX_S
         g.n, b, (ctypes.c_uint64 * g.n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)),
         ints(*tree.preorder), ints(*(-1 if p is None else p for p in tree.parent)),
         *((-1, g.n) if roots is None else (roots.start, roots.stop)),
-        max(0, min(max_states, _U64_MAX)), math.inf if deadline is None else deadline, pos, out,
+        max(0, min(max_states, _U64_MAX)), deadline, pos, out,
     )
     status = _C_STATUS[code]
     return status, _checked(g, b, pos[:], "c") if status == YES else None, out[0], out[1], out[2]
 
 
 def c_kernel_for(n: int):
-    """The compiled kernel when it loads and 1 <= n <= C_KERNEL_MAX_N,
-    else None: whether a decide on n vertices runs in C."""
-    return _c_kernel() if 0 < n <= C_KERNEL_MAX_N else None
+    """The compiled kernel when it loads and 1 <= n <= its MAXN, else
+    None: whether a decide on n vertices runs in C."""
+    kernel = _c_kernel()
+    return kernel if kernel is not None and 0 < n <= kernel.maxn else None
 
 
 def _checked(g: Graph, b: int, pos: list[int], kernel: str) -> list[int]:
@@ -133,19 +129,6 @@ def _checked(g: Graph, b: int, pos: list[int], kernel: str) -> list[int]:
     if ordering_bandwidth(g, pos) > b:
         raise WitnessError(f"{kernel} kernel returned an ordering of bandwidth > {b}")
     return pos
-
-
-# The last SearchPlan built: the runs of one decide share their graph,
-# b and tree. A plan is only read, so threads may share it.
-_last_plan: SearchPlan | None = None
-
-
-def _plan_for(g: Graph, b: int, tree: RootedTree) -> SearchPlan:
-    global _last_plan
-    plan = _last_plan
-    if plan is None or plan.g is not g or plan.b != b or plan.tree is not tree:
-        plan = _last_plan = SearchPlan(g, b, tree)
-    return plan
 
 
 def _dfs_python(plan, lo, max_states, deadline):
@@ -170,7 +153,7 @@ def _dfs_python(plan, lo, max_states, deadline):
     path: list[int] = []
     visited = {0}
     stats = SearchStats(states_visited=1)
-    if deadline is not None and time.monotonic() > deadline:
+    if time.monotonic() > deadline:
         return UNKNOWN, None, stats
     stack = [[0, ok, ok[step[0]]]]  # per depth: key, Hall masks, untried candidates
     try:
@@ -199,7 +182,7 @@ def _dfs_python(plan, lo, max_states, deadline):
                 stats.depth_max = max(stats.depth_max, depth + 1)
                 if depth + 1 == n:
                     return YES, path, stats
-                if deadline is not None and time.monotonic() > deadline:
+                if time.monotonic() > deadline:
                     return UNKNOWN, None, stats
                 top[2], unplaced = rem, rest
                 stack.append([child, child_ok, child_ok[step[depth + 1]] & rest])
@@ -278,8 +261,8 @@ _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kern
 
 @functools.cache
 def _c_kernel():
-    """The compiled kernel with bw_decide declared, or None when it
-    cannot be had.
+    """The compiled kernel with bw_decide declared and its vertex limit,
+    bw_maxn, read into .maxn; None when it cannot be had.
 
     The library is built once per source version into this package's
     __pycache__, named by the source's sha256, and loaded from there by
@@ -297,7 +280,8 @@ def _c_kernel():
     try:
         kernel = ctypes.CDLL(lib)
         dec = kernel.bw_decide
-    except (OSError, AttributeError):
+        kernel.maxn = ctypes.c_int.in_dll(kernel, "bw_maxn").value
+    except (OSError, AttributeError, ValueError):
         return None
     u64_p = ctypes.POINTER(ctypes.c_uint64)
     int_p = ctypes.POINTER(ctypes.c_int)

@@ -31,6 +31,7 @@ from .search import (
     NO,
     UNKNOWN,
     YES,
+    SearchPlan,
     WitnessError,
     c_decide,
     c_kernel_for,
@@ -48,14 +49,15 @@ class Budget:
     max_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_states <= 0:
-            raise ValueError("max_states must be positive")
+        if not isinstance(self.max_states, int) or self.max_states <= 0:
+            raise ValueError("max_states must be a positive integer")
         if self.max_seconds is not None and not (self.max_seconds > 0):  # NaN too
             raise ValueError("max_seconds must be a positive number")
 
-    def deadline(self) -> float | None:
-        """The time.monotonic() instant max_seconds from now, if set."""
-        return None if self.max_seconds is None else time.monotonic() + self.max_seconds
+    def deadline(self) -> float:
+        """The time.monotonic() instant max_seconds from now; math.inf
+        when max_seconds is not set."""
+        return math.inf if self.max_seconds is None else time.monotonic() + self.max_seconds
 
 
 @dataclass
@@ -148,22 +150,24 @@ def decide(
 
 
 def walk(g: Graph, b: int, tree: RootedTree, roots: range | None, max_states: int,
-         deadline: float | None) -> tuple:
+         deadline: float) -> tuple:
     """The part of decide's stream whose root lo lies in `roots` (all of
     it if None): (status, ordering or None, runs, states, largest run's
     states), as _combine folds its runs. One compiled call (c_decide)
     when c_kernel_for(n) allows it, else the Python loop of dfs_decide
-    over enumerate_assignments; the choice of kernel is made here only."""
+    over enumerate_assignments, its runs sharing one SearchPlan; the
+    choice of kernel is made here only."""
     found = c_decide(g, b, tree, max_states=max_states, deadline=deadline, roots=roots)
     if found is not None:
         return found
-    runs = (dfs_decide(g, b, tree, lo, max_states=max_states, deadline=deadline)
+    plan = SearchPlan(g, b, tree)
+    runs = (dfs_decide(plan, lo, max_states=max_states, deadline=deadline)
             for lo in enumerate_assignments(g, tree, b, roots))
     return _combine(((status, pos, 1, r.states_visited, r.states_visited) for status, pos, r in runs),
                     deadline)
 
 
-def _combine(results, deadline: float | None) -> tuple:
+def _combine(results, deadline: float) -> tuple:
     """Fold (status, ordering, runs, states, max_run) results, taken in
     stream order, into one under decide's rules: the first YES wins; an
     UNKNOWN (a capped run, a dead worker) makes the answer UNKNOWN
@@ -181,7 +185,7 @@ def _combine(results, deadline: float | None) -> tuple:
         if status == UNKNOWN:
             # Each run gets the deadline, and one started after it
             # returns UNKNOWN at once, so only such results need the check.
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 return UNKNOWN, None, runs, states, max_run
             unknown_seen = True
     return UNKNOWN if unknown_seen else NO, None, runs, states, max_run
@@ -260,9 +264,13 @@ def _serve(conn, run):
             conn.send(out)
 
 
-def eccentricities(g: Graph) -> list[int]:
+def eccentricities(g: Graph, deadline: float = math.inf) -> list[int] | None:
+    """Each vertex's eccentricity, one BFS per vertex; None once the
+    deadline passes."""
     ecc = []
     for src in range(g.n):
+        if time.monotonic() > deadline:
+            return None
         dist = [-1] * g.n
         order = bfs(g, src, dist)[0]
         if len(order) != g.n:
@@ -271,8 +279,9 @@ def eccentricities(g: Graph) -> list[int]:
     return ecc
 
 
-def lower_bound(g: Graph) -> int:
-    """max(ceil(maxdeg / 2), ceil((n-1) / diameter)).
+def lower_bound(g: Graph, deadline: float = math.inf) -> int:
+    """max(ceil(maxdeg / 2), ceil((n-1) / diameter)), or the degree
+    bound alone when the deadline passes before the diameter is known.
 
     Degree bound: the closer half of a vertex's neighbors still spans
     ceil(deg/2) positions on one side. Diameter bound: positions 1 and n
@@ -281,9 +290,9 @@ def lower_bound(g: Graph) -> int:
     """
     if g.n < 2:
         raise GraphError("lower_bound requires a connected graph with n >= 2")
-    diam = max(eccentricities(g))
-    maxdeg = max(g.degree(v) for v in range(g.n))
-    return max(math.ceil(maxdeg / 2), math.ceil((g.n - 1) / diam))
+    degree_bound = math.ceil(max(g.degree(v) for v in range(g.n)) / 2)
+    ecc = eccentricities(g, deadline)
+    return degree_bound if ecc is None else max(degree_bound, math.ceil((g.n - 1) / max(ecc)))
 
 
 @dataclass
@@ -350,7 +359,7 @@ def minimize_bandwidth(
 
 
 def _solve_component(
-    comp: Graph, budget: Budget, deadline: float | None, root: int, workers: int,
+    comp: Graph, budget: Budget, deadline: float, root: int, workers: int,
     agg: DecideStats,
 ) -> SolveResult:
     n = comp.n
@@ -359,7 +368,7 @@ def _solve_component(
     identity = list(range(1, n + 1))
     best_b = ordering_bandwidth(comp, identity)
     best_pos = identity
-    lo = lower_bound(comp)
+    lo = lower_bound(comp, deadline)
     hi = min(best_b, n - 1) - 1
     while lo <= hi:
         mid = (lo + hi) // 2

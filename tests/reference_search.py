@@ -157,7 +157,7 @@ def compiled_dfs(
     tree: RootedTree,
     lo: tuple[int, ...],
     max_states: int = DEFAULT_MAX_STATES,
-    deadline: float | None = None,
+    deadline: float = math.inf,
 ) -> tuple[str, list[int] | None, SearchStats]:
     """search.dfs_decide's contract, run on the compiled kernel's bw_dfs
     (the compiled kernel must load): (status, checked ordering or None,
@@ -192,7 +192,7 @@ def _dfs_c(g, b, tree, lo, max_states, deadline):
     code = bw_dfs()(
         n, (ctypes.c_uint64 * n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)), ints(*lo),
         ints(*(segment_width(tree, v) for v in range(n))), ints(*color_order(n, b).step_base_segment),
-        max(0, min(max_states, (1 << 64) - 1)), math.inf if deadline is None else deadline, path, out,
+        max(0, min(max_states, (1 << 64) - 1)), deadline, path, out,
     )
     status = search._C_STATUS[code]
     stats = SearchStats(states_visited=out[0], depth_max=out[1])

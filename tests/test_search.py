@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import shutil
@@ -33,11 +34,11 @@ from bwexact import search, solve
 from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
 from bwexact.solve import Budget, decide, minimize_bandwidth
 from bwexact.search import (
-    C_KERNEL_MAX_N,
     DEFAULT_MAX_STATES,
     NO,
     UNKNOWN,
     YES,
+    SearchPlan,
     SearchStats,
     WitnessError,
     dfs_decide,
@@ -129,7 +130,7 @@ class TestDfsDecide:
         g = Graph(2, [(0, 1)])
         tree = spanning_tree(g, 0)
         for lo in enumerate_assignments(Graph(2, []), tree, 1):
-            status, pos, stats = dfs_decide(g, 1, tree, lo)
+            status, pos, stats = dfs_decide(SearchPlan(g, 1, tree), lo)
             assert status == YES
             assert ordering_bandwidth(g, pos) == 1
 
@@ -139,7 +140,7 @@ class TestDfsDecide:
         for lo in enumerate_assignments(Graph(3, []), tree, 1):
             if not edge_filter(lo, tree, g):
                 continue
-            status, pos, _ = dfs_decide(g, 1, tree, lo)
+            status, pos, _ = dfs_decide(SearchPlan(g, 1, tree), lo)
             assert status == NO and pos is None
 
     def test_budget_exhaustion_is_unknown(self):
@@ -148,8 +149,8 @@ class TestDfsDecide:
         g = generate("star", 7)
         tree = spanning_tree(g, 0)
         lo = next(enumerate_assignments(g, tree, 3))
-        assert dfs_decide(g, 3, tree, lo)[2].states_visited > 2
-        status, pos, _ = dfs_decide(g, 3, tree, lo, max_states=2)
+        assert dfs_decide(SearchPlan(g, 3, tree), lo)[2].states_visited > 2
+        status, pos, _ = dfs_decide(SearchPlan(g, 3, tree), lo, max_states=2)
         assert status == UNKNOWN and pos is None
 
     def test_deep_graph_does_not_recurse(self):
@@ -158,7 +159,7 @@ class TestDfsDecide:
         g = generate("star", 1500)
         tree = spanning_tree(g, 0)
         lo = next(enumerate_assignments(g, tree, 750))
-        status, pos, stats = dfs_decide(g, 750, tree, lo)
+        status, pos, stats = dfs_decide(SearchPlan(g, 750, tree), lo)
         assert status == YES and stats.depth_max == 1501
         assert ordering_bandwidth(g, pos) <= 750
         assert consistency_witness(lo, tree, 750, pos)
@@ -170,7 +171,7 @@ class TestDfsDecide:
         ceiling = per_run_state_ceiling(8, tree.leaf_count)
         for b in (1, 2, 3):
             for lo in enumerate_assignments(g, tree, b):
-                _, _, stats = dfs_decide(g, b, tree, lo)
+                _, _, stats = dfs_decide(SearchPlan(g, b, tree), lo)
                 assert stats.states_visited <= ceiling
 
     @pytest.mark.parametrize("seed", range(10))
@@ -184,7 +185,7 @@ class TestDfsDecide:
         for b in (1, 2, 3):
             orderings = all_b_orderings(g, b)
             for lo in enumerate_assignments(g, tree, b):
-                status, pos, _ = dfs_decide(g, b, tree, lo)
+                status, pos, _ = dfs_decide(SearchPlan(g, b, tree), lo)
                 expected = any(consistency_witness(lo, tree, b, o) for o in orderings)
                 assert status == (YES if expected else NO)
                 if status == YES:
@@ -202,31 +203,31 @@ class TestDfsDecide:
                 built.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(search, "SearchPlan", CountingPlan)
+        monkeypatch.setattr(solve, "SearchPlan", CountingPlan)
         res = decide(generate("random_gnp", 10, 0.4, seed=2), 3)
         assert res.stats.runs > 1
         assert len(built) == 1
 
     def test_interleaved_trees_get_their_own_plan(self):
-        # Runs over two spanning trees of one graph, in mixed order: each
-        # must search its own tree's segments.
+        # Runs over two spanning trees of one graph, in mixed order, each
+        # with its tree's plan: a plan carries nothing from run to run.
         g = generate("random_gnp", 8, 0.4, seed=4)
         runs = [
-            (tree, lo)
-            for tree in (spanning_tree(g, 0), spanning_tree(g, 5))
-            for lo in itertools.islice(enumerate_assignments(g, tree, 3), 20)
+            (plan, lo)
+            for plan in (SearchPlan(g, 3, spanning_tree(g, 0)), SearchPlan(g, 3, spanning_tree(g, 5)))
+            for lo in itertools.islice(enumerate_assignments(g, plan.tree, 3), 20)
         ]
         random.Random(0).shuffle(runs)
-        for tree, lo in runs:
-            found, want_pos, _ = unpruned_dfs(g, 3, tree, lo)
-            status, pos, _ = dfs_decide(g, 3, tree, lo)
+        for plan, lo in runs:
+            found, want_pos, _ = unpruned_dfs(g, 3, plan.tree, lo)
+            status, pos, _ = dfs_decide(plan, lo)
             assert (status, pos) == (YES if found else NO, want_pos), lo
 
     def test_depth_equals_n_on_success(self):
         g = generate("cycle", 6)
         tree = spanning_tree(g, 0)
         for lo in enumerate_assignments(g, tree, 2):
-            status, _, stats = dfs_decide(g, 2, tree, lo)
+            status, _, stats = dfs_decide(SearchPlan(g, 2, tree), lo)
             if status == YES:
                 assert stats.depth_max == 6
                 return
@@ -240,7 +241,7 @@ def outcome(out):
 
 def python_kernel(g, b, tree, lo, **kw):
     """One run of the Python loop."""
-    return dfs_decide(g, b, tree, lo, **kw)
+    return dfs_decide(SearchPlan(g, b, tree), lo, **kw)
 
 
 def c_kernel(g, b, tree, lo, **kw):
@@ -359,8 +360,11 @@ class TestKernelEquivalence:
 def loop_decide(g, b, budget=None):
     """decide without the compiled walk: the loop over
     enumerate_assignments, each run on the compiled kernel."""
+    def compiled_plan_dfs(plan, lo, **kw):
+        return compiled_dfs(plan.g, plan.b, plan.tree, lo, **kw)
+
     with mock.patch.object(solve, "c_decide", lambda *args, **kwargs: None), \
-            mock.patch.object(solve, "dfs_decide", compiled_dfs):
+            mock.patch.object(solve, "dfs_decide", compiled_plan_dfs):
         return decide(g, b, budget)
 
 
@@ -401,9 +405,9 @@ class TestCompiledWalk:
                 roots = range(-1, num_base_segments(g.n, b))
                 compiled = [search.c_decide(g, b, tree, roots=range(c, c + 1)) for c in roots]
                 with mock.patch.object(solve, "c_decide", lambda *args, **kwargs: None):
-                    loop = [solve.walk(g, b, tree, range(c, c + 1), DEFAULT_MAX_STATES, None) for c in roots]
+                    loop = [solve.walk(g, b, tree, range(c, c + 1), DEFAULT_MAX_STATES, math.inf) for c in roots]
                 assert compiled == loop, (g, b)
-                assert solve._combine(compiled, None) == search.c_decide(g, b, tree), (g, b)
+                assert solve._combine(compiled, math.inf) == search.c_decide(g, b, tree), (g, b)
                 parts += len(roots)
         assert parts == 12_925
 
@@ -482,21 +486,29 @@ class TestKernelSource:
         fn = search._c_kernel().bw_decide if name == "bw_decide" else bw_dfs()
         assert len(fn.argtypes) == len(params.split(","))
 
+    @pytest.mark.usefixtures("compiled_kernel")
     def test_maxn_matches_python_gate(self):
         # The kernel's per-vertex arrays hold MAXN entries, and Python
-        # sends it graphs with up to C_KERNEL_MAX_N vertices.
-        with open(search._KERNEL_SOURCE, encoding="utf-8") as fh:
-            (maxn,) = re.findall(r"^#define MAXN (\d+)$", fh.read(), re.M)
-        assert int(maxn) == C_KERNEL_MAX_N
+        # sends it graphs with up to bw_maxn vertices.
+        assert search._c_kernel().maxn == source_maxn()
+        assert search.c_kernel_for(source_maxn()) is not None
+        assert search.c_kernel_for(source_maxn() + 1) is None
+
+
+def source_maxn():
+    """MAXN as _kernel.c defines it."""
+    with open(search._KERNEL_SOURCE, encoding="utf-8") as fh:
+        (maxn,) = re.findall(r"^#define MAXN (\d+)$", fh.read(), re.M)
+    return int(maxn)
 
 
 class TestKernelFallback:
     def test_above_max_n_runs_python(self):
-        n = C_KERNEL_MAX_N + 1
+        n = source_maxn() + 1
         g = generate("path", n)
         tree = spanning_tree(g, 0)
         lo = next(enumerate_assignments(g, tree, 1))
-        status, pos, stats = dfs_decide(g, 1, tree, lo)
+        status, pos, stats = dfs_decide(SearchPlan(g, 1, tree), lo)
         assert search.c_decide(g, 1, tree) is None
         assert status in (YES, NO)
         if status == YES:
@@ -556,7 +568,7 @@ class TestWitnessCheck:
         g = generate("path", 4)
         tree = spanning_tree(g, 0)
         lo = next(enumerate_assignments(g, tree, 1))
-        module, run = (reference_search, compiled_dfs) if kernel == "_dfs_c" else (search, dfs_decide)
+        module, run = (reference_search, compiled_dfs) if kernel == "_dfs_c" else (search, python_kernel)
         monkeypatch.setattr(module, kernel, lambda *a: (YES, [0, 1, 2, 3], SearchStats()))
         with pytest.raises(WitnessError):
             run(g, 1, tree, lo)
@@ -568,6 +580,6 @@ class TestWitnessCheck:
             out[0] = 1
             return 1
 
-        monkeypatch.setattr(search, "_c_kernel", lambda: types.SimpleNamespace(bw_decide=bad_decide))
+        monkeypatch.setattr(search, "_c_kernel", lambda: types.SimpleNamespace(bw_decide=bad_decide, maxn=source_maxn()))
         with pytest.raises(WitnessError):
             decide(generate("path", 4), 1)

@@ -131,7 +131,7 @@ class TestDecide:
         assert {(YES, 147), (NO, 28_280), (UNKNOWN, 1_584)} <= statuses
         g = generate("random_tree", 14, seed=8)
         tree = spanning_tree(g, 0)
-        first, second = (solve.walk(g, 2, tree, range(c, c + 1), 1 << 26, None)[0] for c in (-1, 0))
+        first, second = (solve.walk(g, 2, tree, range(c, c + 1), 1 << 26, math.inf)[0] for c in (-1, 0))
         assert (first, second) == (NO, YES)
 
     @pytest.mark.parametrize("seed", [1, 2, 4])
@@ -183,6 +183,16 @@ class TestDecide:
         # A NaN deadline would compare false forever, so no check would fire.
         with pytest.raises(ValueError, match="positive number"):
             Budget(max_seconds=seconds)
+
+    @pytest.mark.parametrize("states", [float("nan"), 2.5, 0, -1])
+    def test_budget_rejects_non_integer_states(self, states):
+        # NaN never compares >= a count, so the cap would never fire, and
+        # ctypes refuses a float as the kernel's uint64_t.
+        with pytest.raises(ValueError, match="positive integer"):
+            Budget(max_states=states)
+
+    def test_no_deadline_is_inf(self):
+        assert Budget().deadline() == math.inf
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_workers_below_one(self, workers):
@@ -354,3 +364,23 @@ class TestLowerBound:
     def test_degree_bound(self):
         g = generate("star", 9)
         assert lower_bound(g) >= math.ceil(9 / 2)
+
+    def test_past_deadline_leaves_degree_bound(self):
+        # K4: the diameter term (3) needs the eccentricities.
+        assert lower_bound(generate("complete", 4), deadline=time.monotonic() - 1) == 2
+
+    def test_path_solve_honours_deadline(self):
+        # A BFS per vertex takes seconds here; the identity ordering
+        # already meets the degree bound.
+        start = time.monotonic()
+        res = minimize_bandwidth(generate("path", 4000), Budget(max_seconds=0.5))
+        assert time.monotonic() - start < 1.0
+        assert (res.status, res.bandwidth) == (OPTIMAL, 1)
+
+    def test_cycle_solve_honours_deadline(self):
+        start = time.monotonic()
+        res = minimize_bandwidth(generate("cycle", 2000), Budget(max_seconds=0.3))
+        assert time.monotonic() - start < 0.8
+        assert (res.status, res.bandwidth) == (UNKNOWN, 1999)
+        (unknown,) = res.stats["unknown_brackets"]
+        assert unknown["bracket"][0] <= 2
