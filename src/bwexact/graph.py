@@ -118,17 +118,19 @@ def write_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bfs(g: Graph, src: int, dist: list[int]) -> tuple[list[int], list[int | None]]:
+def bfs(adj, src: int, dist: list[int]) -> tuple[list[int], list[int | None]]:
     """Breadth-first search from `src` over the vertices v with dist[v] < 0,
-    neighbors in ascending order: sets dist[v] to v's distance from src
-    for each vertex reached, and returns them in visit order with each
-    one's BFS parent (None for src) alongside. Linear in what it reaches."""
+    each vertex's neighbors taken in the order of its list in `adj` (a
+    graph's `adj`, ascending, or the same lists in another order): sets
+    dist[v] to v's distance from src for each vertex reached, and returns
+    them in visit order with each one's BFS parent (None for src)
+    alongside. Linear in what it reaches."""
     dist[src] = 0
     order: list[int] = [src]
     via: list[int | None] = [None]
     for u in order:
         d = dist[u] + 1
-        for w in g.adj[u]:
+        for w in adj[u]:
             if dist[w] < 0:
                 dist[w] = d
                 order.append(w)
@@ -146,7 +148,7 @@ def connected_components(g: Graph) -> list[tuple[Graph, list[int]]]:
     out = []
     for start in range(g.n):
         if dist[start] < 0:
-            comp = sorted(bfs(g, start, dist)[0])
+            comp = sorted(bfs(g.adj, start, dist)[0])
             index = {orig: i for i, orig in enumerate(comp)}
             sub_edges = [(i, index[w]) for i, u in enumerate(comp) for w in g.adj[u] if u < w]
             out.append((Graph(len(comp), sub_edges), comp))
@@ -154,7 +156,7 @@ def connected_components(g: Graph) -> list[tuple[Graph, list[int]]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(bfs(g, 0, [-1] * g.n)[0]) == g.n
+    return g.n <= 1 or len(bfs(g.adj, 0, [-1] * g.n)[0]) == g.n
 
 
 class RootedTree:
@@ -199,7 +201,7 @@ def spanning_tree(g: Graph, root: int = 0) -> RootedTree:
     """
     if not (0 <= root < g.n):
         raise GraphError(f"root {root} out of range for n={g.n}")
-    order, via = bfs(g, root, [-1] * g.n)
+    order, via = bfs(g.adj, root, [-1] * g.n)
     if len(order) != g.n:
         raise GraphError("graph is not connected; split into components first")
     parent: list[int | None] = [None] * g.n

@@ -1,7 +1,7 @@
 """Solver orchestration: the decision procedure over the assignment
 stream, bandwidth minimization by binary search, disconnected-graph
-composition, classical lower bounds, and an independent brute-force
-oracle.
+composition, classical lower bounds with a Cuthill-McKee upper bound,
+and an independent brute-force oracle.
 """
 
 from __future__ import annotations
@@ -264,35 +264,66 @@ def _serve(conn, run):
             conn.send(out)
 
 
-def eccentricities(g: Graph, deadline: float = math.inf) -> list[int] | None:
-    """Each vertex's eccentricity, one BFS per vertex; None once the
-    deadline passes."""
-    ecc = []
-    for src in range(g.n):
+def bounds(g: Graph, deadline: float = math.inf) -> tuple[int, int, list[int]]:
+    """(lo, hi, pos) with lo <= bandwidth(g) <= hi = ordering_bandwidth(g, pos).
+
+    lo is max(ceil(maxdeg / 2), ceil((n-1) / diameter)). Degree bound:
+    the closer half of a vertex's neighbors still spans ceil(deg/2)
+    positions on one side. Diameter bound: positions 1 and n are
+    bridged by a path of at most diam edges, one of which must span at
+    least (n-1)/diam.
+
+    The diameter takes one BFS per vertex. Each visits neighbors by
+    (degree, id), so its visit order is the Cuthill-McKee ordering from
+    that start. pos is the identity ordering unless one of these is
+    strictly narrower, and then the first narrowest. Once hi meets the
+    degree bound, no ordering is narrower, so lo = hi and the loop
+    stops. When the deadline passes first, lo is the degree bound alone.
+    """
+    n = g.n
+    if n < 2:
+        raise GraphError("bounds require a connected graph with n >= 2")
+    degree = [len(a) for a in g.adj]
+    degree_bound = math.ceil(max(degree) / 2)
+    pos = list(range(1, n + 1))
+    hi = ordering_bandwidth(g, pos)
+    # Each g.adj list is ascending and sorted() is stable: (degree, id).
+    cm_adj = [sorted(a, key=degree.__getitem__) for a in g.adj]
+    diam = 0
+    for src in range(n):
         if time.monotonic() > deadline:
-            return None
-        dist = [-1] * g.n
-        order = bfs(g, src, dist)[0]
-        if len(order) != g.n:
-            raise GraphError("eccentricity needs a connected graph")
-        ecc.append(dist[order[-1]])
-    return ecc
+            return degree_bound, hi, pos
+        dist = [-1] * n
+        order, via = bfs(cm_adj, src, dist)
+        if len(order) != n:
+            raise GraphError("bounds require a connected graph")
+        if hi == degree_bound:  # checked once g is known to be connected
+            return hi, hi, pos
+        diam = max(diam, dist[order[-1]])
+        rank = [0] * n
+        for i, v in enumerate(order):
+            rank[v] = i
+        # The width of a BFS order is its widest tree edge: a non-tree
+        # edge u-w with u first has w seen before u's turn, so via[w]
+        # comes before u. Stop once it is no narrower than hi.
+        width = 0
+        for j in range(1, n):
+            span = j - rank[via[j]]
+            if span > width:
+                width = span
+                if width >= hi:
+                    break
+        if width < hi:
+            hi = width
+            pos = [i + 1 for i in rank]
+    return max(degree_bound, math.ceil((n - 1) / diam)), hi, pos
 
 
 def lower_bound(g: Graph, deadline: float = math.inf) -> int:
-    """max(ceil(maxdeg / 2), ceil((n-1) / diameter)), or the degree
-    bound alone when the deadline passes before the diameter is known.
-
-    Degree bound: the closer half of a vertex's neighbors still spans
-    ceil(deg/2) positions on one side. Diameter bound: positions 1 and n
-    are bridged by a path of at most diam edges, one of which must span
-    at least (n-1)/diam.
-    """
-    if g.n < 2:
-        raise GraphError("lower_bound requires a connected graph with n >= 2")
-    degree_bound = math.ceil(max(g.degree(v) for v in range(g.n)) / 2)
-    ecc = eccentricities(g, deadline)
-    return degree_bound if ecc is None else max(degree_bound, math.ceil((g.n - 1) / max(ecc)))
+    """bounds(g, deadline)'s lo: max(ceil(maxdeg / 2), ceil((n-1) /
+    diameter)), or the degree bound alone when the deadline passes
+    before the diameter is known."""
+    return bounds(g, deadline)[0]
 
 
 @dataclass
@@ -353,8 +384,11 @@ def minimize_bandwidth(
     stats["components"] = len(comps)
     if brackets:
         stats["unknown_brackets"] = brackets
-    if status == OPTIMAL and ordering_bandwidth(g, final_pos) != best:
-        raise WitnessError(f"composed ordering does not have bandwidth {best}")
+    # An optimal witness has the bandwidth exactly; an unknown one, whose
+    # best is the upper end of a bracket, has at most that.
+    width = ordering_bandwidth(g, final_pos)
+    if width > best or (status == OPTIMAL and width != best):
+        raise WitnessError(f"composed ordering has bandwidth {width}, not {best}")
     return SolveResult(best, final_pos, status, stats)
 
 
@@ -365,11 +399,8 @@ def _solve_component(
     n = comp.n
     if n == 1:
         return SolveResult(0, [1], OPTIMAL)
-    identity = list(range(1, n + 1))
-    best_b = ordering_bandwidth(comp, identity)
-    best_pos = identity
-    lo = lower_bound(comp, deadline)
-    hi = min(best_b, n - 1) - 1
+    lo, best_b, best_pos = bounds(comp, deadline)
+    hi = best_b - 1
     while lo <= hi:
         mid = (lo + hi) // 2
         res = decide(comp, mid, budget, root=root, workers=workers, deadline=deadline)

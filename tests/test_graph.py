@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from bwexact.graph import (
     spanning_tree,
     write_graph,
 )
-from bwexact.solve import eccentricities
+from bwexact.solve import bounds, lower_bound
 
 # A perfect matching of 20,000 edges: 20,000 components, so a component
 # split that rescans the whole graph per component takes close to a minute.
@@ -171,14 +172,40 @@ class TestAgainstNetworkx:
         assert disconnected >= 4
 
     def test_eccentricities(self, nx):
+        # lower_bound's diameter term comes from one BFS per vertex.
         for g in cross_check_corpus():
             G = self.to_nx(nx, g)
             if not nx.is_connected(G):
                 with pytest.raises(GraphError):
-                    eccentricities(g)
+                    lower_bound(g)
             for comp, orig in connected_components(g):
-                theirs = nx.eccentricity(G.subgraph(orig))
-                assert eccentricities(comp) == [theirs[v] for v in orig]
+                if comp.n < 2:
+                    continue
+                H = G.subgraph(orig)
+                theirs = max(math.ceil(max(d for _, d in H.degree) / 2),
+                             math.ceil((comp.n - 1) / nx.diameter(H)))
+                assert lower_bound(comp) == theirs
+
+    def test_cuthill_mckee_upper_bound(self, nx):
+        # bounds' hi and pos: the identity ordering, or the first start
+        # whose BFS with neighbors by (degree, id) is strictly narrower.
+        for g in cross_check_corpus():
+            for comp, _ in connected_components(g):
+                if comp.n < 2:
+                    continue
+                G = self.to_nx(nx, comp)
+                best = list(range(1, comp.n + 1))
+                for src in range(comp.n):
+                    order = [src] + [v for _, v in nx.bfs_edges(
+                        G, src, sort_neighbors=lambda ns: sorted(ns, key=lambda w: (G.degree[w], w)))]
+                    pos = [0] * comp.n
+                    for i, v in enumerate(order, 1):
+                        pos[v] = i
+                    if ordering_bandwidth(comp, pos) < ordering_bandwidth(comp, best):
+                        best = pos
+                _, hi, pos = bounds(comp)
+                assert hi == ordering_bandwidth(comp, best)
+                assert pos == best
 
     def test_spanning_tree_is_sorted_bfs(self, nx):
         for g in cross_check_corpus():

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import brute_bandwidth
+from conftest import brute_bandwidth, connected_graphs
 from reference_search import edge_filter
 
 import bwexact
@@ -25,6 +25,7 @@ from bwexact.solve import (
     OPTIMAL,
     UNKNOWN,
     YES,
+    bounds,
     decide,
     lower_bound,
     minimize_bandwidth,
@@ -32,6 +33,7 @@ from bwexact.solve import (
 )
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bwexact.__file__)))
+POOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "pools")
 
 
 def run_isolated(code: str, timeout: float) -> str:
@@ -203,14 +205,14 @@ class TestDecide:
 
 
     def test_parallel_workers_honour_deadline(self):
-        # Single runs on this tree at b=5 take seconds, so the deadline
-        # must stop the workers mid-run. The state cap only bounds memory
-        # should it not.
+        # The first part of this tree's stream at b=5 takes about 0.5 s to
+        # its "yes" (the others take 1-4 s), so the deadline must stop the
+        # workers mid-run. The state cap only bounds memory should it not.
         g = generate("random_tree", 24, seed=0)
         start = time.monotonic()
-        res = decide(g, 5, Budget(max_states=1_000_000, max_seconds=0.5), workers=2)
+        res = decide(g, 5, Budget(max_states=1_000_000, max_seconds=0.1), workers=2)
         assert res.status == UNKNOWN
-        assert time.monotonic() - start < 0.5 + 2.0
+        assert time.monotonic() - start < 0.1 + 2.0
 
     def test_serial_decide_honours_deadline(self):
         # One compiled call takes the whole decide (about 0.3 s here), so
@@ -284,17 +286,36 @@ class TestMinimize:
         assert "unknown_brackets" in res.stats
 
     def test_bad_witness_raises(self, monkeypatch):
-        # A decide that says yes with an ordering of bandwidth 4 on C5.
+        # bounds gives [3, 4], so the solve asks decide at b = 3, which
+        # says yes with the identity ordering, of bandwidth 8.
         def lying_decide(g, b, *args, **kwargs):
             return DecideResult(YES, list(range(1, g.n + 1)), DecideStats())
 
+        g = generate("random_gnp", 10, 0.3, seed=0)
+        assert bounds(g)[:2] == (3, 4)
         monkeypatch.setattr(solve, "decide", lying_decide)
         with pytest.raises(WitnessError):
-            minimize_bandwidth(generate("cycle", 5))
+            minimize_bandwidth(g)
+
+    def test_unknown_witness_checked(self, monkeypatch):
+        # An unknown result reports bounds' upper end; a pos wider than
+        # that end must not pass as its witness.
+        def wrong_bounds(g, deadline):
+            lo, hi, _ = bounds(g, deadline)
+            return lo, hi, list(range(1, g.n + 1))
+
+        def unknown_decide(g, b, *args, **kwargs):
+            return DecideResult(UNKNOWN, None, DecideStats())
+
+        monkeypatch.setattr(solve, "bounds", wrong_bounds)
+        monkeypatch.setattr(solve, "decide", unknown_decide)
+        with pytest.raises(WitnessError):
+            minimize_bandwidth(generate("random_gnp", 10, 0.3, seed=0))
 
     def test_one_deadline_per_solve(self, monkeypatch):
-        # A solve of two components makes several decide calls; every
-        # compiled decide must get the deadline fixed when the solve began.
+        # A solve of two components makes a decide call in each (bounds
+        # leave [3, 4] on both); every compiled decide must get the
+        # deadline fixed when the solve began.
         deadlines, call_times, decides = [], [], []
         real_decide, real_c_decide = solve.decide, solve.c_decide
 
@@ -309,18 +330,18 @@ class TestMinimize:
 
         monkeypatch.setattr(solve, "decide", counting_decide)
         monkeypatch.setattr(solve, "c_decide", recording_c_decide)
-        a = generate("random_gnp", 8, 0.5, seed=1)
-        b = generate("cycle", 7)
-        g = Graph(15, list(a.edges) + [(u + 8, v + 8) for u, v in b.edges])
+        a = generate("random_gnp", 10, 0.3, seed=0)
+        b = generate("random_gnp", 10, 0.3, seed=1)
+        g = Graph(20, list(a.edges) + [(u + 10, v + 10) for u, v in b.edges])
         start = time.monotonic()
         res = minimize_bandwidth(g, Budget(max_seconds=60))
         assert res.status == OPTIMAL
-        assert len(decides) >= 3
+        assert len(decides) == len(deadlines) == 2
         assert len(set(deadlines)) == 1
         assert start + 60 <= deadlines[0] <= call_times[0] + 60
 
     def test_kernel_in_stats(self):
-        assert minimize_bandwidth(generate("cycle", 6)).stats["kernel"] in ("c", "python")
+        assert minimize_bandwidth(generate("random_gnp", 10, 0.3, seed=1)).stats["kernel"] in ("c", "python")
         # No decide call: the identity ordering of a path meets the lower bound.
         assert minimize_bandwidth(generate("path", 6)).stats["kernel"] is None
 
@@ -378,9 +399,87 @@ class TestLowerBound:
         assert (res.status, res.bandwidth) == (OPTIMAL, 1)
 
     def test_cycle_solve_honours_deadline(self):
+        # The first Cuthill-McKee ordering already has bandwidth 2; the
+        # deadline then cuts the diameter search.
         start = time.monotonic()
         res = minimize_bandwidth(generate("cycle", 2000), Budget(max_seconds=0.3))
         assert time.monotonic() - start < 0.8
-        assert (res.status, res.bandwidth) == (UNKNOWN, 1999)
+        assert (res.status, res.bandwidth) == (UNKNOWN, 2)
         (unknown,) = res.stats["unknown_brackets"]
-        assert unknown["bracket"][0] <= 2
+        assert unknown["bracket"] == [1, 2]
+
+
+def oracle_corpus():
+    """Every connected graph with up to 5 vertices, then seeded G(n, 0.3),
+    random trees and caterpillars with n = 6-10."""
+    for n in range(2, 6):
+        yield from connected_graphs(n)
+    for n in range(6, 11):
+        for seed in range(12):
+            yield generate("random_gnp", n, 0.3, seed=seed)
+            yield generate("random_tree", n, seed=seed)
+            yield generate("caterpillar", n // 2, n - n // 2, seed=seed)
+
+
+class TestBounds:
+    def test_bracket_the_oracle(self):
+        met = 0
+        for g in oracle_corpus():
+            lo, hi, pos = bounds(g)
+            assert lo <= oracle_bandwidth(g).bandwidth <= hi
+            assert sorted(pos) == list(range(1, g.n + 1))
+            assert ordering_bandwidth(g, pos) == hi
+            assert lo == lower_bound(g)
+            met += lo == hi
+        assert met >= 700
+
+    def test_no_decide_when_bounds_meet(self):
+        for g in oracle_corpus():
+            lo, hi, _ = bounds(g)
+            if lo == hi:
+                stats = minimize_bandwidth(g).stats
+                assert (stats["kernel"], stats["runs"]) == (None, 0)
+
+    def test_first_narrowest_start(self):
+        # Every start of a cycle gives bandwidth 2; the first, from vertex
+        # 0, is the witness: 0, then 1 and n-1, then 2 and n-2, ...
+        lo, hi, pos = bounds(generate("cycle", 6))
+        assert (lo, hi, pos) == (2, 2, [1, 2, 4, 6, 5, 3])
+
+    def test_rejects_disconnected(self):
+        with pytest.raises(GraphError):
+            bounds(Graph(4, [(0, 1), (2, 3)]))
+        with pytest.raises(GraphError):
+            bounds(Graph(1, []))
+
+    @pytest.mark.parametrize("family, params", [("cycle", (1000,)), ("caterpillar", (40, 5))])
+    def test_bounds_certify_without_decide(self, family, params):
+        # From the identity's upper end (999 and 40) the decides ran out
+        # the budget at brackets [2, 500] and [2, 20]; the Cuthill-McKee
+        # ordering meets lo, so no decide runs.
+        start = time.monotonic()
+        res = minimize_bandwidth(generate(family, *params), Budget(max_seconds=5))
+        assert time.monotonic() - start < 2
+        assert (res.status, res.bandwidth, res.stats["runs"]) == (OPTIMAL, 2, 0)
+
+
+def pool_instances(name):
+    with open(os.path.join(POOLS, f"{name}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    columns = doc["columns"]
+    for row in doc["instances"]:
+        inst = dict(zip(columns, row))
+        kwargs = {"connected": inst["connected"]} if inst["family"] == "random_gnp" else {}
+        yield generate(inst["family"], *inst["params"], seed=inst["seed"], **kwargs), inst["bandwidth"]
+
+
+@pytest.mark.parametrize("name, count", [("gnp", 28), ("tree", 32), ("small", 1211)])
+def test_pinned_pools(name, count):
+    # The benchmark's pools, each instance with its pinned bandwidth.
+    solved = 0
+    for g, pinned in pool_instances(name):
+        res = minimize_bandwidth(g)
+        assert (res.status, res.bandwidth) == (OPTIMAL, pinned)
+        assert ordering_bandwidth(g, res.ordering) == res.bandwidth
+        solved += 1
+    assert solved == count
