@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 CONSTRAINTS = ("leaf", "parent_unset", "parent_left", "parent_right")
 
 TOL = 1e-10  # relative width of the final kappa bracket
@@ -48,50 +46,48 @@ class McBound:
 
 
 def _lhs(kappa, a, b):
-    """Left sides of the four constraints, in CONSTRAINTS order, for
-    scalars or numpy arrays. Each is factored over k^alpha and k^beta,
-    so one evaluation takes two powers."""
+    """Left sides of the four constraints, in CONSTRAINTS order. Each
+    is factored over k^alpha and k^beta, so one evaluation takes two
+    powers."""
     ka, kb = kappa**a, kappa**b
     u = 1 / kappa
     return (
-        4 / np.minimum(kappa, np.minimum(ka, kb)),  # 4 max(k^-1, k^-alpha, k^-beta)
+        4 / min(kappa, ka, kb),  # 4 max(k^-1, k^-alpha, k^-beta)
         u * (2 + u * (2 * kb + ka)),  # 2 k^-1 + 2 k^-(2-beta) + k^-(2-alpha)
         (1 + u * kb) / ka + 2 * u,  # k^-alpha + k^-(1+alpha-beta) + 2 k^-1
         (2 + u * ka) / kb + 2 * u,  # 2 k^-beta + k^-(1+beta-alpha) + 2 k^-1
     )
 
 
+def _feasible(kappa, a, b):
+    return max(_lhs(kappa, a, b)) <= 1
+
+
 def constraint_residuals(kappa: float, w: McWeights) -> tuple[float, ...]:
     """Residuals (LHS - 1) of the four constraints; feasible when <= 0."""
-    return tuple(float(lhs) - 1 for lhs in _lhs(kappa, w.alpha, w.beta))
+    return tuple(lhs - 1 for lhs in _lhs(kappa, w.alpha, w.beta))
 
 
 def _kappa(a, b):
-    """Smallest kappa > 1 at which every residual is <= 0, elementwise
-    over scalar or array weights.
+    """Smallest kappa > 1 at which every residual is <= 0.
 
     Squares an upper end until it is feasible, then bisects at the
     geometric mean (so huge roots, from tiny weights, take few steps)
-    until every bracket is within TOL or holds no float between its
-    ends; brackets that got there first only narrow further. The lower
-    end stays infeasible and the upper end feasible, and the upper end
-    is returned, so its residuals are all <= 0.
+    until the bracket is within TOL or holds no float between its ends.
+    The lower end stays infeasible and the upper end feasible, and the
+    upper end is returned, so its residuals are all <= 0.
     """
-
-    def infeasible(k):
-        leaf, unset, left, right = _lhs(k, a, b)
-        return np.maximum(np.maximum(leaf, unset), np.maximum(left, right)) > 1
-
-    lo = np.ones(np.shape(a))
-    hi = np.full(np.shape(a), 2.0)
-    while (grow := infeasible(hi)).any():
-        lo, hi = np.where(grow, hi, lo), np.where(grow, hi * hi, hi)
+    lo, hi = 1.0, 2.0
+    while not _feasible(hi, a, b):
+        lo, hi = hi, hi * hi
     while True:
-        mid = np.sqrt(lo * hi)
-        if not ((lo < mid) & (mid < hi) & (hi > lo * (1 + TOL))).any():
+        mid = math.sqrt(lo * hi)
+        if not (lo < mid < hi and hi > lo * (1 + TOL)):
             return hi
-        high = infeasible(mid)
-        lo, hi = np.where(high, mid, lo), np.where(high, hi, mid)
+        if _feasible(mid, a, b):
+            hi = mid
+        else:
+            lo = mid
 
 
 def kappa_for(w: McWeights) -> McBound:
@@ -104,7 +100,7 @@ def kappa_for(w: McWeights) -> McBound:
         # The leaf constraint alone puts kappa at 4^(1/weight) or more,
         # so the bracket would square past the largest float.
         raise ValueError(f"weights below 0.004 put kappa above 4^250, got {w}")
-    kappa = float(_kappa(w.alpha, w.beta))
+    kappa = _kappa(w.alpha, w.beta)
     below = _lhs(kappa * (1 - 10 * TOL), w.alpha, w.beta)
     return McBound(kappa, tuple(name for name, lhs in zip(CONSTRAINTS, below) if lhs > 1))
 
@@ -113,24 +109,34 @@ def optimize_weights() -> tuple[McWeights, McBound]:
     """Minimize kappa over (alpha, beta) in (0, 1]^2.
 
     Coarse grid scan followed by a local grid refinement around the best
-    coarse point; both stages are vectorized.
+    coarse point.
     """
-    coarse = np.minimum(np.arange(GRID_STEP, 1.0 + GRID_STEP / 2, GRID_STEP), 1.0)
+    coarse = [min(i * GRID_STEP, 1.0) for i in range(1, round(1 / GRID_STEP) + 1)]
     a_best, b_best = _grid_argmin(coarse, coarse)
 
     def fine(center):
-        vals = np.arange(center - GRID_STEP, center + GRID_STEP + REFINE_STEP / 2, REFINE_STEP)
-        return np.minimum(vals[(vals > 0) & (vals <= 1.0 + 1e-12)], 1.0)
+        steps = round(GRID_STEP / REFINE_STEP)
+        vals = (center + i * REFINE_STEP for i in range(-steps, steps + 1))
+        return [min(v, 1.0) for v in vals if 0 < v <= 1.0 + 1e-12]
 
     a_best, b_best = _grid_argmin(fine(a_best), fine(b_best))
     weights = McWeights(a_best, b_best)
     return weights, kappa_for(weights)
 
 
-def _grid_argmin(a_vals: np.ndarray, b_vals: np.ndarray) -> tuple[float, float]:
-    A, B = np.meshgrid(a_vals, b_vals, indexing="ij")
-    i, j = np.unravel_index(int(np.argmin(_kappa(A, B))), A.shape)
-    return float(A[i, j]), float(B[i, j])
+def _grid_argmin(a_vals: list[float], b_vals: list[float]) -> tuple[float, float]:
+    """First grid point, alpha-major, with the smallest kappa. A point
+    infeasible at best * (1 - TOL) cannot beat best by more than TOL,
+    so it is not bisected."""
+    best, arg = math.inf, None
+    for a in a_vals:
+        for b in b_vals:
+            if best < math.inf and not _feasible(best * (1 - TOL), a, b):
+                continue
+            kappa = _kappa(a, b)
+            if kappa < best:
+                best, arg = kappa, (a, b)
+    return arg
 
 
 def log_total_state_bound(n: int, bound: McBound) -> float:

@@ -12,6 +12,7 @@ import sys
 import time
 import traceback
 
+from .analysis import McWeights, constraint_residuals, kappa_for, optimize_weights
 from .assignments import max_assignments
 from .graph import FAMILY_PARAMS, Graph, GraphError, generate, parse_graph, write_graph
 from .search import per_run_state_ceiling
@@ -103,9 +104,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    # Only analyze needs numpy; the solver commands never load it.
-    from .analysis import McWeights, constraint_residuals, kappa_for, optimize_weights
-
     start = time.monotonic()
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:

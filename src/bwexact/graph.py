@@ -45,9 +45,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 

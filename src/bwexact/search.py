@@ -139,6 +139,9 @@ def _dfs_python(plan, lo, max_states, deadline):
     of the Hall mask ok[t] (see _hall_child), lowest first. Returns
     (status, path, stats), path[d] being the vertex placed at step d. A
     budget cap, or running out of memory, ends the run as UNKNOWN."""
+    stats = SearchStats(states_visited=1)
+    if time.monotonic() > deadline:
+        return UNKNOWN, None, stats
     n = plan.g.n
     adj, step, slots = plan.adj, plan.step, plan.slots
     hi = [l + w for l, w in zip(lo, plan.width)]
@@ -152,9 +155,6 @@ def _dfs_python(plan, lo, max_states, deadline):
     unplaced = (1 << n) - 1
     path: list[int] = []
     visited = {0}
-    stats = SearchStats(states_visited=1)
-    if time.monotonic() > deadline:
-        return UNKNOWN, None, stats
     stack = [[0, ok, ok[step[0]]]]  # per depth: key, Hall masks, untried candidates
     try:
         while stack:

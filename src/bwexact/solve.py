@@ -156,10 +156,13 @@ def walk(g: Graph, b: int, tree: RootedTree, roots: range | None, max_states: in
     states), as _combine folds its runs. One compiled call (c_decide)
     when c_kernel_for(n) allows it, else the Python loop of dfs_decide
     over enumerate_assignments, its runs sharing one SearchPlan; the
-    choice of kernel is made here only."""
+    choice of kernel is made here only. Past the deadline the Python
+    loop builds no plan and answers UNKNOWN after 0 runs."""
     found = c_decide(g, b, tree, max_states=max_states, deadline=deadline, roots=roots)
     if found is not None:
         return found
+    if time.monotonic() > deadline:
+        return UNKNOWN, None, 0, 0, 0
     plan = SearchPlan(g, b, tree)
     runs = (dfs_decide(plan, lo, max_states=max_states, deadline=deadline)
             for lo in enumerate_assignments(g, tree, b, roots))
@@ -267,24 +270,26 @@ def _serve(conn, run):
 def bounds(g: Graph, deadline: float = math.inf) -> tuple[int, int, list[int]]:
     """(lo, hi, pos) with lo <= bandwidth(g) <= hi = ordering_bandwidth(g, pos).
 
-    lo is max(ceil(maxdeg / 2), ceil((n-1) / diameter)). Degree bound:
-    the closer half of a vertex's neighbors still spans ceil(deg/2)
-    positions on one side. Diameter bound: positions 1 and n are
-    bridged by a path of at most diam edges, one of which must span at
-    least (n-1)/diam.
+    lo is max(ceil(maxdeg / 2), 2 if m >= n, ceil((n-1) / diameter)).
+    Degree bound: the closer half of a vertex's neighbors still spans
+    ceil(deg/2) positions on one side. Cycle bound: a connected graph
+    with m >= n has a cycle, so it is not a path and needs bandwidth 2.
+    Diameter bound: positions 1 and n are bridged by a path of at most
+    diam edges, one of which must span at least (n-1)/diam.
 
     The diameter takes one BFS per vertex. Each visits neighbors by
     (degree, id), so its visit order is the Cuthill-McKee ordering from
     that start. pos is the identity ordering unless one of these is
     strictly narrower, and then the first narrowest. Once hi meets the
-    degree bound, no ordering is narrower, so lo = hi and the loop
-    stops. When the deadline passes first, lo is the degree bound alone.
+    degree and cycle bounds, no ordering is narrower, so lo = hi and
+    the loop stops (on a path or a cycle, after the first BFS). When
+    the deadline passes first, lo is the degree and cycle bounds alone.
     """
     n = g.n
     if n < 2:
         raise GraphError("bounds require a connected graph with n >= 2")
     degree = [len(a) for a in g.adj]
-    degree_bound = math.ceil(max(degree) / 2)
+    degree_bound = max(math.ceil(max(degree) / 2), 2 if g.m >= n else 1)
     pos = list(range(1, n + 1))
     hi = ordering_bandwidth(g, pos)
     # Each g.adj list is ascending and sorted() is stable: (degree, id).
@@ -297,8 +302,6 @@ def bounds(g: Graph, deadline: float = math.inf) -> tuple[int, int, list[int]]:
         order, via = bfs(cm_adj, src, dist)
         if len(order) != n:
             raise GraphError("bounds require a connected graph")
-        if hi == degree_bound:  # checked once g is known to be connected
-            return hi, hi, pos
         diam = max(diam, dist[order[-1]])
         rank = [0] * n
         for i, v in enumerate(order):
@@ -316,13 +319,15 @@ def bounds(g: Graph, deadline: float = math.inf) -> tuple[int, int, list[int]]:
         if width < hi:
             hi = width
             pos = [i + 1 for i in rank]
+        if hi == degree_bound:
+            return hi, hi, pos
     return max(degree_bound, math.ceil((n - 1) / diam)), hi, pos
 
 
 def lower_bound(g: Graph, deadline: float = math.inf) -> int:
-    """bounds(g, deadline)'s lo: max(ceil(maxdeg / 2), ceil((n-1) /
-    diameter)), or the degree bound alone when the deadline passes
-    before the diameter is known."""
+    """bounds(g, deadline)'s lo: max(ceil(maxdeg / 2), 2 if m >= n,
+    ceil((n-1) / diameter)), or the first two alone when the deadline
+    passes before the diameter is known."""
     return bounds(g, deadline)[0]
 
 

@@ -104,11 +104,13 @@ class TestKappaFor:
 
 class TestOptimize:
     def test_reproduces_reference_bound(self):
+        start = time.monotonic()
         weights, bound = optimize_weights()
+        assert time.monotonic() - start < 2
         assert bound.kappa < 4.83
-        assert bound.kappa <= 4.8285 + 1e-3
-        assert abs(weights.alpha - 0.8805) <= 1e-4 + 1e-12
-        assert abs(weights.beta - 1.0) <= 1e-4 + 1e-12
+        assert weights == McWeights(0.8805, 1.0)
+        assert bound.kappa == pytest.approx(4.828484905191565, rel=1e-12)
+        assert bound.binding == ("parent_unset", "parent_right")
 
     def test_degenerate_line_gives_five(self):
         # Restricting to alpha = beta = 1 recovers the unweighted bound.

@@ -161,8 +161,8 @@ class TestAnalyzeCmd:
     def test_needs_both_weights(self, capsys):
         assert main(["analyze", "--alpha", "0.5"]) == 3
 
-    def test_only_analyze_loads_numpy(self, tmp_path):
-        # The solver is numpy-free; analyze imports the analysis itself.
+    def test_no_command_loads_numpy(self, tmp_path):
+        # The package, analyze included, runs on the standard library.
         path = write(tmp_path, "p5.g", generate("path", 5))
         src = os.path.dirname(os.path.dirname(os.path.abspath(bwexact.__file__)))
         code = textwrap.dedent(f"""
@@ -179,7 +179,7 @@ class TestAnalyzeCmd:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["13", "0", "False", "0", "True"]
+        assert proc.stdout.split() == ["13", "0", "False", "0", "False"]
 
 
 class TestGenCmd:

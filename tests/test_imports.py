@@ -1,11 +1,13 @@
 import ast
 import pathlib
+import sys
 
 import pytest
 
 import bwexact
 
 SOURCES = sorted(pathlib.Path(bwexact.__file__).parent.glob("*.py"))
+PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
 
 # Imported for a caller outside the module: perfbench/spans.py wraps
 # solve.color_order.
@@ -38,3 +40,30 @@ def test_no_unused_imports(path):
 
 def test_finds_unused_import():
     assert unused_imports("import os\nimport sys\nfrom math import inf, pi\nprint(sys.argv, pi)\n") == {"os", "inf"}
+
+
+def absolute_imports(source: str) -> set[str]:
+    """The top-level packages a module imports by absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_imports_only_stdlib(path):
+    assert absolute_imports(path.read_text(encoding="utf-8")) <= sys.stdlib_module_names
+
+
+def test_finds_absolute_imports():
+    source = "import os.path\nfrom numpy import inf\nfrom .graph import Graph\n"
+    assert absolute_imports(source) == {"os", "numpy"}
+
+
+def test_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []

@@ -269,6 +269,14 @@ class TestMinimize:
         assert time.monotonic() - start < 10
         assert (res.status, res.bandwidth, res.stats["components"]) == (OPTIMAL, 1, 20_000)
 
+    def test_python_kernel_setup_honours_deadline(self):
+        # n is past the compiled kernel, and the Python kernel's set-up
+        # costs O(n * segments): it must not start after the deadline.
+        start = time.monotonic()
+        res = minimize_bandwidth(generate("caterpillar", 5000, 5000), Budget(max_seconds=0.3))
+        assert time.monotonic() - start < 0.8
+        assert res.status == UNKNOWN
+
     def test_disconnected_composition(self):
         g = Graph(7, [(0, 1), (2, 3), (3, 4), (2, 4), (5, 6)])
         res = minimize_bandwidth(g)
@@ -387,8 +395,11 @@ class TestLowerBound:
         assert lower_bound(g) >= math.ceil(9 / 2)
 
     def test_past_deadline_leaves_degree_bound(self):
-        # K4: the diameter term (3) needs the eccentricities.
-        assert lower_bound(generate("complete", 4), deadline=time.monotonic() - 1) == 2
+        # K4: the diameter term (3) needs the eccentricities. A cycle
+        # keeps 2: m >= n, so it is not a path.
+        past = time.monotonic() - 1
+        assert lower_bound(generate("complete", 4), deadline=past) == 2
+        assert lower_bound(generate("cycle", 7), deadline=past) == 2
 
     def test_path_solve_honours_deadline(self):
         # A BFS per vertex takes seconds here; the identity ordering
@@ -399,14 +410,22 @@ class TestLowerBound:
         assert (res.status, res.bandwidth) == (OPTIMAL, 1)
 
     def test_cycle_solve_honours_deadline(self):
-        # The first Cuthill-McKee ordering already has bandwidth 2; the
-        # deadline then cuts the diameter search.
+        # The first Cuthill-McKee ordering has bandwidth 2, which the
+        # cycle bound meets, so the diameter search stops there.
         start = time.monotonic()
         res = minimize_bandwidth(generate("cycle", 2000), Budget(max_seconds=0.3))
         assert time.monotonic() - start < 0.8
-        assert (res.status, res.bandwidth) == (UNKNOWN, 2)
+        assert (res.status, res.bandwidth, res.stats["runs"]) == (OPTIMAL, 2, 0)
+
+    def test_tree_solve_honours_deadline(self):
+        # A BFS per vertex takes seconds here; the deadline cuts the
+        # diameter search and leaves the degree bound.
+        start = time.monotonic()
+        res = minimize_bandwidth(generate("random_tree", 2000, seed=0), Budget(max_seconds=0.3))
+        assert time.monotonic() - start < 0.8
+        assert res.status == UNKNOWN
         (unknown,) = res.stats["unknown_brackets"]
-        assert unknown["bracket"] == [1, 2]
+        assert unknown["bracket"] == [4, res.bandwidth]
 
 
 def oracle_corpus():
@@ -452,11 +471,12 @@ class TestBounds:
         with pytest.raises(GraphError):
             bounds(Graph(1, []))
 
-    @pytest.mark.parametrize("family, params", [("cycle", (1000,)), ("caterpillar", (40, 5))])
+    @pytest.mark.parametrize("family, params", [("cycle", (1000,)), ("caterpillar", (40, 5)), ("cycle", (4000,))])
     def test_bounds_certify_without_decide(self, family, params):
         # From the identity's upper end (999 and 40) the decides ran out
         # the budget at brackets [2, 500] and [2, 20]; the Cuthill-McKee
-        # ordering meets lo, so no decide runs.
+        # ordering meets lo, so no decide runs. On cycle(4000) the cycle
+        # bound also spares the diameter search (3 s without it).
         start = time.monotonic()
         res = minimize_bandwidth(generate(family, *params), Budget(max_seconds=5))
         assert time.monotonic() - start < 2
