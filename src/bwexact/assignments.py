@@ -81,6 +81,8 @@ def enumerate_assignments(g: Graph, tree: RootedTree, b: int,
         stack.append(iter((i - 1,) if tree.is_leaf(child) else (i - 1, i + 1)))
 
 
-def max_assignments(n: int) -> int:
-    """Ceiling on the number of generated assignments: (n+1) * 2^(n-1)."""
-    return (n + 1) * 2 ** (n - 1)
+def max_assignments(n: int, leaf_count: int = 0) -> int:
+    """Ceiling on the number of generated assignments over a tree with
+    `leaf_count` leaves: (n+1) * 2^(n-L-1). The root has at most n+1
+    choices, each other inner vertex two and each leaf one."""
+    return (n + 1) * 2 ** (n - leaf_count - 1)

@@ -184,7 +184,7 @@ def cmd_bench(args) -> int:
             "states_max_run": stats["states_max_run"],
             "per_run_ceiling": per_run_state_ceiling(n, stats["leaf_count"]),
             "assignments_generated": stats["assignments_generated"],
-            "phase1_ceiling": max_assignments(n),
+            "phase1_ceiling": max_assignments(n, stats["leaf_count"]),
             "wall_seconds": time.monotonic() - start,
         }
         print(json.dumps(line), flush=True)
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-seconds", type=float, default=None,
                        help="overall wall-time cap")
         p.add_argument("--root", type=int, default=0,
-                       help="spanning-tree root vertex")
+                       help="vertex the greedy leafy spanning tree grows from")
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes (default 1), each searching the assignments of one "
                             "root segment at a time; results match serial")

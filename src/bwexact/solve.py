@@ -106,17 +106,18 @@ def decide(
 ) -> DecideResult:
     """Does g admit an ordering of bandwidth <= b?
 
-    Searches each segment assignment over the BFS spanning tree that
-    passes the edge filter, in stream order. The stream falls into
-    parts by the root's segment, lo[root] = -1, 0, ... (see
-    assignments), each computed by walk. A serial decide walks the
-    whole stream; with `workers` above 1, the parts go to that many
-    forked processes, one part per worker at a time, and are taken
-    back in stream order, so the answer, witness and counters are the
-    same. First witness wins; "no" means all accepted assignments were
-    exhausted; "unknown" means a budget cap fired, or a worker died,
-    before either. `deadline` is an absolute time.monotonic() instant;
-    without one, the budget's max_seconds counts from now.
+    Searches each segment assignment over the greedy leafy spanning
+    tree grown from `root` (graph.spanning_tree) that passes the edge
+    filter, in stream order. The stream falls into parts by the root's
+    segment, lo[root] = -1, 0, ... (see assignments), each computed by
+    walk. A serial decide walks the whole stream; with `workers` above
+    1, the parts go to that many forked processes, one part per worker
+    at a time, and are taken back in stream order, so the answer,
+    witness and counters are the same. First witness wins; "no" means
+    all accepted assignments were exhausted; "unknown" means a budget
+    cap fired, or a worker died, before either. `deadline` is an
+    absolute time.monotonic() instant; without one, the budget's
+    max_seconds counts from now.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

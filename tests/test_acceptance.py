@@ -77,13 +77,15 @@ def _counter_corpus():
 
 
 def test_criterion_3_phase1_counter():
+    # Against each tree's own leaf count, from every root.
     instances = 0
     for g in _counter_corpus():
-        tree = spanning_tree(g, 0)
-        for b in range(1, g.n):
-            generated = sum(1 for _ in enumerate_assignments(Graph(g.n, []), tree, b))
-            assert generated <= max_assignments(g.n)
-            instances += 1
+        for root in range(g.n):
+            tree = spanning_tree(g, root)
+            for b in range(1, g.n):
+                generated = sum(1 for _ in enumerate_assignments(Graph(g.n, []), tree, b))
+                assert generated <= max_assignments(g.n, tree.leaf_count)
+                instances += 1
     report(3, f"{instances} unpruned assignment streams, zero phase-1 counter violations")
 
 

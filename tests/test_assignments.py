@@ -54,7 +54,7 @@ class TestEnumerate:
         tree = spanning_tree(g, 0)
         for b in (1, 2, 3):
             count = sum(1 for _ in unpruned(tree, b))
-            assert count <= max_assignments(7)
+            assert count <= max_assignments(7, tree.leaf_count)
 
     def test_no_empty_segments(self):
         g = generate("random_tree", 6, seed=3)

@@ -87,6 +87,11 @@ class TestComponents:
         assert [c.n for c, _ in comps] == [2, 2]
         assert comps[0][1] == [0, 1] and comps[1][1] == [2, 3]
 
+    def test_connected_comes_back_as_itself(self):
+        g = generate("random_gnp", 9, 0.4, seed=1)
+        ((comp, orig),) = connected_components(g)
+        assert comp is g and orig == list(range(9))
+
     def test_empty_graph(self):
         comps = connected_components(Graph(3, []))
         assert [c.n for c, _ in comps] == [1, 1, 1]
@@ -207,16 +212,36 @@ class TestAgainstNetworkx:
                 assert hi == ordering_bandwidth(comp, best)
                 assert pos == best
 
-    def test_spanning_tree_is_sorted_bfs(self, nx):
+    def test_spanning_tree_is_greedy_leafy(self, nx):
+        # From every root: the greedy rule as reference_leafy_parents spells
+        # it out, and on a tree input the input itself, which is what
+        # networkx's BFS from that root gives.
+        trees = 0
         for g in cross_check_corpus():
             G = self.to_nx(nx, g)
-            # Relabeling keeps the vertex order, so sorted neighbors stay sorted.
             for comp, orig in connected_components(g):
                 for r in range(comp.n):
-                    parent = {orig[v]: None if p is None else orig[p]
-                              for v, p in enumerate(spanning_tree(comp, r).parent)}
-                    theirs = dict(nx.bfs_predecessors(G, orig[r], sort_neighbors=sorted))
-                    assert parent == {orig[r]: None, **theirs}
+                    tree = spanning_tree(comp, r)
+                    assert list(tree.parent) == reference_leafy_parents(comp, r)
+                    if comp.m == comp.n - 1:
+                        parent = {orig[v]: None if p is None else orig[p]
+                                  for v, p in enumerate(tree.parent)}
+                        theirs = dict(nx.bfs_predecessors(G, orig[r]))
+                        assert parent == {orig[r]: None, **theirs}
+                        trees += 1
+        assert trees >= 200  # every root of the 8 random trees and 8 caterpillars
+
+
+def reference_leafy_parents(g, root):
+    """spanning_tree's parents by the rule itself, rescanning the whole
+    tree at each step: the tree vertex with the most neighbors outside
+    the tree, the lowest id among ties, takes them all as children."""
+    parent = {root: None}
+    while len(parent) < g.n:
+        outside = {v: [w for w in g.adj[v] if w not in parent] for v in parent}
+        v = min(parent, key=lambda u: (-len(outside[u]), u))
+        parent.update(dict.fromkeys(outside[v], v))
+    return [parent[v] for v in range(g.n)]
 
 
 class TestOrderingBandwidth:

@@ -388,7 +388,7 @@ class TestCompiledWalk:
         (generate("path", 16), 1, None, YES, 1_684),
         (generate("cycle", 17), 1, None, NO, 73_664),
         (generate("random_tree", 20), 2, None, NO, 28_280),
-        (generate("random_gnp", 18, 0.2), 3, Budget(max_states=5), UNKNOWN, 1_584),
+        (generate("random_gnp", 18, 0.2), 3, Budget(max_states=5), UNKNOWN, 368),
     ], ids=["path16", "cycle17", "random_tree20", "gnp18-capped"])
     def test_long_streams(self, g, b, budget, status, runs):
         res = assert_walk_matches_loop(g, b, budget)
