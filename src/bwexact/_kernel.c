@@ -31,7 +31,6 @@ enum { BW_NO = 0, BW_YES = 1, BW_UNKNOWN = 2, BW_NOMEM = 3 };
 typedef struct {
     uint64_t *slot; /* 0 marks an empty slot; the root key 0 is not stored */
     uint64_t mask;  /* capacity - 1, capacity a power of two */
-    uint64_t used;
 } table;
 
 static uint64_t slot_of(uint64_t key, uint64_t mask)
@@ -54,7 +53,7 @@ static uint64_t *find(const table *tb, uint64_t key)
 /* Doubles the capacity; 0 when out of memory. */
 static int grow(table *tb)
 {
-    table big = {calloc(2 * (tb->mask + 1), sizeof(uint64_t)), 2 * tb->mask + 1, tb->used};
+    table big = {calloc(2 * (tb->mask + 1), sizeof(uint64_t)), 2 * tb->mask + 1};
     if (big.slot == NULL)
         return 0;
     for (uint64_t i = 0; i <= tb->mask; i++)
@@ -116,17 +115,17 @@ static int past(double deadline)
 /* Searches positions in color order; step[d] is the base segment of
  * the d-th position, in 0..n-1. Vertex v's segment is base segments
  * lo[v] .. lo[v] + width[v] - 1. On BW_YES, path[d] is the vertex
- * placed at step d. out[0] gets the states visited (the root
- * included), out[1] the deepest depth reached. The clock is read every
- * 1024 expansions. */
+ * placed at step d. out[0] gets the states visited, the root included;
+ * each state but the root has a key in the table. The clock is read
+ * before the root and then every 1024 states. */
 int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const int *step,
            uint64_t max_states, double deadline, int *path, uint64_t *out)
 {
     uint64_t late[MAXN], ok[MAXN + 1][MAXN];
-    uint64_t key[MAXN + 1], rem[MAXN + 1], assigned = 0, states = 1, expansions = 1;
+    uint64_t key[MAXN + 1], rem[MAXN + 1], assigned = 0, states = 1;
     uint64_t all = (1ULL << n) - 1;
     int slots[MAXN + 1][MAXN + 1] = {{0}}, nseg = 0;
-    int depth = 0, depth_max = 0, status;
+    int depth = 0, status;
     for (int t = 0; t < n; t++) {
         ok[0][t] = late[t] = 0;
         for (int v = 0; v < n; v++) {
@@ -144,7 +143,7 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
             slots[d][s] = slots[d + 1][s];
         slots[d][step[d]]++;
     }
-    table tb = {calloc(1024, sizeof(uint64_t)), 1023, 0};
+    table tb = {calloc(1024, sizeof(uint64_t)), 1023};
     key[0] = 0;
     if (tb.slot == NULL) {
         status = BW_NOMEM;
@@ -182,20 +181,18 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
         }
         *slot = child;
         states++;
-        if (2 * ++tb.used > tb.mask + 1 && !grow(&tb)) {
+        if (2 * (states - 1) > tb.mask + 1 && !grow(&tb)) {
             status = BW_NOMEM;
             goto done;
         }
         path[depth] = v;
         assigned |= 1ULL << v;
         key[++depth] = child;
-        if (depth > depth_max)
-            depth_max = depth;
         if (depth == n) {
             status = BW_YES;
             goto done;
         }
-        if ((expansions++ & 1023) == 0 && past(deadline)) {
+        if (((states - 1) & 1023) == 0 && past(deadline)) {
             status = BW_UNKNOWN;
             goto done;
         }
@@ -204,7 +201,6 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
 done:
     free(tb.slot);
     out[0] = states;
-    out[1] = (uint64_t)depth_max;
     return status;
 }
 
@@ -228,7 +224,8 @@ static int fits(int n, int b, int c, int w, uint64_t nbrs, const int *lo, const 
  * solve.decide. order is the tree's preorder and parent[v] v's parent
  * (-1 at the root); a vertex with no child has a width-4 segment, any
  * other width 2. The root's lo runs up from root_lo, an inner child's is
- * its parent's - 1 then + 1, a leaf's its parent's - 1. The first BW_YES
+ * its parent's - 1 then + 1, a leaf's its parent's - 1; fits drops a
+ * choice whose segment holds no position in 1..n. The first BW_YES
  * wins, and pos[v] is then v's position. A run stopped by a cap makes
  * the answer BW_UNKNOWN unless a later run says yes, and one that ends
  * unfinished after the deadline ends the decide. out[0] gets the runs,
@@ -238,7 +235,7 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
               uint64_t *out)
 {
     int width[MAXN], step[MAXN], seq[MAXN], lo[MAXN], path[MAXN], next[MAXN], last[MAXN];
-    uint64_t earlier[MAXN], seen = 0, run[2];
+    uint64_t earlier[MAXN], seen = 0, states;
     int k = 0, d, unknown = 0;
     for (d = 0; d < n; d++) { /* a parent comes before its children in preorder */
         width[order[d]] = 4;
@@ -253,8 +250,8 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
             step[k] = p / (b + 1);
         }
     out[0] = out[1] = out[2] = 0;
-    next[0] = root_lo; /* a root lo past the last base segment holds no position */
-    last[0] = (root_hi < (n + b) / (b + 1) ? root_hi : (n + b) / (b + 1)) - 1;
+    next[0] = root_lo;
+    last[0] = root_hi - 1;
     for (d = 0;;) {
         int v = order[d], c = next[d], stride = d ? 2 : 1;
         while (c <= last[d] && !fits(n, b, c, width[v], earlier[d], lo, width))
@@ -272,10 +269,10 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
             last[d] = next[d] + (width[u] == 4 ? 0 : 2);
             continue;
         }
-        int status = bw_dfs(n, adj, lo, width, step, max_states, deadline, path, run);
+        int status = bw_dfs(n, adj, lo, width, step, max_states, deadline, path, &states);
         out[0]++;
-        out[1] += run[0];
-        out[2] = run[0] > out[2] ? run[0] : out[2];
+        out[1] += states;
+        out[2] = states > out[2] ? states : out[2];
         if (status == BW_YES) {
             for (k = 0; k < n; k++)
                 pos[path[k]] = seq[k];

@@ -39,13 +39,13 @@ class WitnessError(RuntimeError):
 @dataclass
 class SearchStats:
     states_visited: int = 0
-    depth_max: int = 0
 
 
 class SearchPlan:
     """The phase-2 inputs that depend only on the graph, b and the
     spanning tree, shared by every run over the same three: solve.walk
-    builds one per part. A plan is only read, so threads may share it.
+    builds one per part, in the process that walks the part (a forked
+    worker builds its own), and the runs only read it.
 
     step[d] is the base segment filled at depth d, width[v] the width of
     v's segment, adj[v] v's neighbours as a bitmask, and slots[d][s] the
@@ -179,7 +179,6 @@ def _dfs_python(plan, lo, max_states, deadline):
                 visited.add(child)
                 stats.states_visited += 1
                 path.append(v)
-                stats.depth_max = max(stats.depth_max, depth + 1)
                 if depth + 1 == n:
                     return YES, path, stats
                 if time.monotonic() > deadline:

@@ -121,15 +121,13 @@ def decide(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if not (0 <= root < g.n):
-        raise GraphError(f"root {root} out of range")
     if g.n < 2:
         raise GraphError("decide requires n >= 2; route tiny graphs through solve")
     if not (1 <= b < g.n):
         raise GraphError(f"decide requires 1 <= b < n, got b={b}, n={g.n}")
     if budget is None:
         budget = Budget()
-    tree = spanning_tree(g, root)  # raises on disconnected input
+    tree = spanning_tree(g, root)  # raises on a root out of range or disconnected input
     stats = DecideStats(leaf_count=tree.leaf_count)
     if deadline is None:
         deadline = budget.deadline()
@@ -157,13 +155,13 @@ def walk(g: Graph, b: int, tree: RootedTree, roots: range | None, max_states: in
     states), as _combine folds its runs. One compiled call (c_decide)
     when c_kernel_for(n) allows it, else the Python loop of dfs_decide
     over enumerate_assignments, its runs sharing one SearchPlan; the
-    choice of kernel is made here only. Past the deadline the Python
-    loop builds no plan and answers UNKNOWN after 0 runs."""
+    choice of kernel is made here only. Past the deadline it answers
+    UNKNOWN after 0 runs, on either kernel."""
+    if time.monotonic() > deadline:
+        return UNKNOWN, None, 0, 0, 0
     found = c_decide(g, b, tree, max_states=max_states, deadline=deadline, roots=roots)
     if found is not None:
         return found
-    if time.monotonic() > deadline:
-        return UNKNOWN, None, 0, 0, 0
     plan = SearchPlan(g, b, tree)
     runs = (dfs_decide(plan, lo, max_states=max_states, deadline=deadline)
             for lo in enumerate_assignments(g, tree, b, roots))
@@ -357,6 +355,7 @@ def minimize_bandwidth(
     every decide gets the same deadline. `root` must be a vertex of g;
     a component without it is rooted at its own vertex 0.
     """
+    wall_start = time.monotonic()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if g.n and not (0 <= root < g.n):
@@ -372,7 +371,6 @@ def minimize_bandwidth(
     status = OPTIMAL
     agg = DecideStats()
     brackets = []
-    wall_start = time.monotonic()
     for comp, orig in comps:
         # Root flag refers to original labels; fall back to 0 when the
         # requested root lies in another component.

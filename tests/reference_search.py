@@ -176,7 +176,7 @@ def bw_dfs():
     """The compiled kernel's bw_dfs, its argument types declared."""
     dfs = search._c_kernel().bw_dfs
     u64_p, int_p = ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int)
-    # n, adj, lo, width, step, max_states, deadline, path, out
+    # n, adj, lo, width, step, max_states, deadline, path, out (the states)
     dfs.argtypes = [ctypes.c_int, u64_p, int_p, int_p, int_p, ctypes.c_uint64, ctypes.c_double,
                     int_p, u64_p]
     dfs.restype = ctypes.c_int
@@ -188,12 +188,11 @@ def _dfs_c(g, b, tree, lo, max_states, deadline):
     vertex placed at step d."""
     n = g.n
     ints = ctypes.c_int * n
-    path, out = ints(), (ctypes.c_uint64 * 2)()
+    path, states = ints(), ctypes.c_uint64()
     code = bw_dfs()(
         n, (ctypes.c_uint64 * n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)), ints(*lo),
         ints(*(segment_width(tree, v) for v in range(n))), ints(*color_order(n, b).step_base_segment),
-        max(0, min(max_states, (1 << 64) - 1)), deadline, path, out,
+        max(0, min(max_states, (1 << 64) - 1)), deadline, path, ctypes.byref(states),
     )
     status = search._C_STATUS[code]
-    stats = SearchStats(states_visited=out[0], depth_max=out[1])
-    return status, path[:] if status == YES else None, stats
+    return status, path[:] if status == YES else None, SearchStats(states.value)

@@ -13,7 +13,7 @@ from conftest import brute_bandwidth, connected_graphs
 from reference_search import edge_filter
 
 import bwexact
-from bwexact import solve
+from bwexact import search, solve
 from bwexact.assignments import enumerate_assignments
 from bwexact.graph import Graph, GraphError, generate, ordering_bandwidth, spanning_tree
 from bwexact.search import WitnessError
@@ -93,6 +93,22 @@ class TestDecide:
             decide(generate("path", 4), 0)
         with pytest.raises(GraphError):
             decide(generate("path", 4), 4)
+
+    @pytest.mark.parametrize("root", [5, -1])
+    def test_root_must_be_a_vertex(self, root):
+        with pytest.raises(GraphError, match="out of range"):
+            decide(generate("path", 5), 1, root=root)
+
+    def test_past_deadline_same_on_both_kernels(self, monkeypatch):
+        # Parts that start past the deadline make no run, whichever
+        # kernel would have run them.
+        g = generate("random_gnp", 14, 0.3, seed=1)
+        compiled = decide(g, 4, workers=2, deadline=time.monotonic() - 1)
+        monkeypatch.setattr(search, "_c_kernel", lambda: None)
+        loop = decide(g, 4, workers=2, deadline=time.monotonic() - 1)
+        assert compiled.stats.to_dict() == loop.stats.to_dict()
+        assert (compiled.status, compiled.stats.runs, compiled.stats.states_total,
+                compiled.stats.kernel) == (UNKNOWN, 0, 0, None)
 
     def test_prune_matches_unpruned(self):
         # decide streams with the edge-distance prune on g: it must keep
@@ -268,6 +284,16 @@ class TestMinimize:
         res = minimize_bandwidth(g)
         assert time.monotonic() - start < 10
         assert (res.status, res.bandwidth, res.stats["components"]) == (OPTIMAL, 1, 20_000)
+
+    def test_wall_seconds_covers_component_split(self, monkeypatch):
+        real_split = solve.connected_components
+
+        def slow_split(g):
+            time.sleep(0.05)
+            return real_split(g)
+
+        monkeypatch.setattr(solve, "connected_components", slow_split)
+        assert minimize_bandwidth(generate("cycle", 6)).stats["wall_seconds"] >= 0.05
 
     def test_python_kernel_setup_honours_deadline(self):
         # n is past the compiled kernel, and the Python kernel's set-up
