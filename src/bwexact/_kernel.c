@@ -17,6 +17,13 @@
  * visited set is an open-addressing table of the packed
  * 3-bit-per-vertex keys, so n is at most MAXN = 21. Python reads the
  * limit from bw_maxn, so MAXN is its only copy.
+ *
+ * Both functions take a stop flag, `stop`, next to the deadline: when
+ * it is not NULL and *stop is nonzero, they stop as if the deadline had
+ * passed. It is read wherever the clock is. Another thread sets it once
+ * a parallel decide's answer is known, so that the parts still running
+ * return; it only goes from 0 to 1, so a stale read costs one more
+ * check at most.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -105,9 +112,11 @@ static int hall(int nseg, const uint64_t *ok, uint64_t *nok, const int *slots, u
     return 1;
 }
 
-static int past(double deadline)
+static int past(double deadline, const volatile int *stop)
 {
     struct timespec ts;
+    if (stop != NULL && *stop)
+        return 1;
     clock_gettime(CLOCK_MONOTONIC, &ts);
     return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec > deadline;
 }
@@ -116,10 +125,11 @@ static int past(double deadline)
  * the d-th position, in 0..n-1. Vertex v's segment is base segments
  * lo[v] .. lo[v] + width[v] - 1. On BW_YES, path[d] is the vertex
  * placed at step d. out[0] gets the states visited, the root included;
- * each state but the root has a key in the table. The clock is read
- * before the root and then every 1024 states. */
+ * each state but the root has a key in the table. The clock and the
+ * stop flag are read before the root and then every 1024 states. */
 int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const int *step,
-           uint64_t max_states, double deadline, int *path, uint64_t *out)
+           uint64_t max_states, double deadline, const volatile int *stop, int *path,
+           uint64_t *out)
 {
     uint64_t late[MAXN], ok[MAXN + 1][MAXN];
     uint64_t key[MAXN + 1], rem[MAXN + 1], assigned = 0, states = 1;
@@ -149,7 +159,7 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
         status = BW_NOMEM;
         goto done;
     }
-    if (past(deadline)) {
+    if (past(deadline, stop)) {
         status = BW_UNKNOWN;
         goto done;
     }
@@ -192,7 +202,7 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
             status = BW_YES;
             goto done;
         }
-        if (((states - 1) & 1023) == 0 && past(deadline)) {
+        if (((states - 1) & 1023) == 0 && past(deadline, stop)) {
             status = BW_UNKNOWN;
             goto done;
         }
@@ -228,11 +238,12 @@ static int fits(int n, int b, int c, int w, uint64_t nbrs, const int *lo, const 
  * choice whose segment holds no position in 1..n. The first BW_YES
  * wins, and pos[v] is then v's position. A run stopped by a cap makes
  * the answer BW_UNKNOWN unless a later run says yes, and one that ends
- * unfinished after the deadline ends the decide. out[0] gets the runs,
- * out[1] the states of all runs, out[2] the most states in one run. */
+ * unfinished after the deadline, or with the stop flag set, ends the
+ * decide. out[0] gets the runs, out[1] the states of all runs, out[2]
+ * the most states in one run. */
 int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *parent,
-              int root_lo, int root_hi, uint64_t max_states, double deadline, int *pos,
-              uint64_t *out)
+              int root_lo, int root_hi, uint64_t max_states, double deadline,
+              const volatile int *stop, int *pos, uint64_t *out)
 {
     int width[MAXN], step[MAXN], seq[MAXN], lo[MAXN], path[MAXN], next[MAXN], last[MAXN];
     uint64_t earlier[MAXN], seen = 0, states;
@@ -269,7 +280,7 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
             last[d] = next[d] + (width[u] == 4 ? 0 : 2);
             continue;
         }
-        int status = bw_dfs(n, adj, lo, width, step, max_states, deadline, path, &states);
+        int status = bw_dfs(n, adj, lo, width, step, max_states, deadline, stop, path, &states);
         out[0]++;
         out[1] += states;
         out[2] = states > out[2] ? states : out[2];
@@ -279,7 +290,7 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
             return BW_YES;
         }
         if (status != BW_NO) {
-            if (past(deadline))
+            if (past(deadline, stop))
                 return BW_UNKNOWN;
             unknown = 1;
         }

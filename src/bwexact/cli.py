@@ -205,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--root", type=int, default=0,
                        help="vertex the greedy leafy spanning tree grows from")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (default 1), each searching the assignments of one "
-                            "root segment at a time; results match serial")
+                       help="threads (default 1), each searching the assignments of one root "
+                            "segment at a time in the compiled kernel; results match serial; "
+                            "graphs above the kernel's 21 vertices run serially")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("decide", help="is there an ordering of bandwidth <= b?")

@@ -44,8 +44,7 @@ class SearchStats:
 class SearchPlan:
     """The phase-2 inputs that depend only on the graph, b and the
     spanning tree, shared by every run over the same three: solve.walk
-    builds one per part, in the process that walks the part (a forked
-    worker builds its own), and the runs only read it.
+    builds one per part, and the runs only read it.
 
     step[d] is the base segment filled at depth d, width[v] the width of
     v's segment, adj[v] v's neighbours as a bitmask, and slots[d][s] the
@@ -94,12 +93,15 @@ def dfs_decide(
 
 
 def c_decide(g: Graph, b: int, tree: RootedTree, max_states: int = DEFAULT_MAX_STATES,
-             deadline: float = math.inf, roots: range | None = None) -> tuple | None:
+             deadline: float = math.inf, roots: range | None = None,
+             stop: ctypes.c_int | None = None) -> tuple | None:
     """One compiled call: the runs of dfs_decide over
     enumerate_assignments(g, tree, b, roots) (every root choice if
     roots is None), under the rules of solve.decide. None when
     c_kernel_for(n) is, else (status, checked ordering or None, runs,
-    states_total, states_max_run)."""
+    states_total, states_max_run). The kernel reads `stop` wherever it
+    reads the clock, and once another thread sets it to 1 the call
+    answers UNKNOWN as if the deadline had passed."""
     if not (1 <= b < g.n and tree.n == g.n):
         raise ValueError(f"c_decide requires 1 <= b < n and a spanning tree, got b={b}, n={g.n}")
     kernel = c_kernel_for(g.n)
@@ -111,7 +113,7 @@ def c_decide(g: Graph, b: int, tree: RootedTree, max_states: int = DEFAULT_MAX_S
         g.n, b, (ctypes.c_uint64 * g.n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)),
         ints(*tree.preorder), ints(*(-1 if p is None else p for p in tree.parent)),
         *((-1, g.n) if roots is None else (roots.start, roots.stop)),
-        max(0, min(max_states, _U64_MAX)), deadline, pos, out,
+        max(0, min(max_states, _U64_MAX)), deadline, stop, pos, out,
     )
     status = _C_STATUS[code]
     return status, _checked(g, b, pos[:], "c") if status == YES else None, out[0], out[1], out[2]
@@ -284,9 +286,9 @@ def _c_kernel():
         return None
     u64_p = ctypes.POINTER(ctypes.c_uint64)
     int_p = ctypes.POINTER(ctypes.c_int)
-    # n, b, adj, order, parent, root_lo, root_hi, max_states, deadline, pos, out
+    # n, b, adj, order, parent, root_lo, root_hi, max_states, deadline, stop, pos, out
     dec.argtypes = [ctypes.c_int, ctypes.c_int, u64_p, int_p, int_p, ctypes.c_int, ctypes.c_int,
-                    ctypes.c_uint64, ctypes.c_double, int_p, u64_p]
+                    ctypes.c_uint64, ctypes.c_double, int_p, int_p, u64_p]
     dec.restype = ctypes.c_int
     return kernel
 

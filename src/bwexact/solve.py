@@ -6,13 +6,10 @@ and an independent brute-force oracle.
 
 from __future__ import annotations
 
-import contextlib
+import ctypes
 import math
-import multiprocessing
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field
-from multiprocessing.connection import wait
 
 from .assignments import enumerate_assignments
 from .geometry import color_order  # noqa: F401 (perfbench/spans.py wraps solve.color_order)
@@ -110,17 +107,19 @@ def decide(
     tree grown from `root` (graph.spanning_tree) that passes the edge
     filter, in stream order. The stream falls into parts by the root's
     segment, lo[root] = -1, 0, ... (see assignments), each computed by
-    walk. A serial decide walks the whole stream; with `workers` above
-    1, the parts go to that many forked processes, one part per worker
-    at a time, and are taken back in stream order, so the answer,
-    witness and counters are the same. First witness wins; "no" means
-    all accepted assignments were exhausted; "unknown" means a budget
-    cap fired, or a worker died, before either. `deadline` is an
-    absolute time.monotonic() instant; without one, the budget's
-    max_seconds counts from now.
+    walk. A serial decide walks the whole stream. With `workers` above
+    1 and the compiled kernel, up to that many threads walk one part
+    each at a time (a compiled call releases the GIL), and the parts
+    are taken back in stream order, so the answer, witness and counters
+    are the same; once the answer is known, a stop flag ends the parts
+    still running. The Python kernel (n above MAXN, or no compiler)
+    gains nothing from threads and runs serially whatever `workers`
+    says. First witness wins; "no" means all accepted assignments were
+    exhausted; "unknown" means a budget cap fired before either.
+    `deadline` is an absolute time.monotonic() instant; without one,
+    the budget's max_seconds counts from now.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     if g.n < 2:
         raise GraphError("decide requires n >= 2; route tiny graphs through solve")
     if not (1 <= b < g.n):
@@ -131,16 +130,20 @@ def decide(
     stats = DecideStats(leaf_count=tree.leaf_count)
     if deadline is None:
         deadline = budget.deadline()
-    if workers == 1:
+    if workers == 1 or c_kernel_for(g.n) is None:
         status, pos, runs, states, max_run = walk(g, b, tree, None, budget.max_states, deadline)
     else:
-        roots = range(-1, num_base_segments(g.n, b))
-        parts = _forked_runs([range(c, c + 1) for c in roots],
-                             lambda part: walk(g, b, tree, part, budget.max_states, deadline), workers)
-        try:
-            status, pos, runs, states, max_run = _combine(parts, deadline)
-        finally:
-            parts.close()
+        # Only a parallel decide needs it; it loads logging, which the package import need not.
+        from concurrent.futures import ThreadPoolExecutor
+
+        stop = ctypes.c_int(0)  # set once the answer is known; every part then returns
+        with ThreadPoolExecutor(workers) as pool:
+            parts = pool.map(lambda c: walk(g, b, tree, range(c, c + 1), budget.max_states, deadline, stop),
+                             range(-1, num_base_segments(g.n, b)))
+            try:
+                status, pos, runs, states, max_run = _combine(parts, deadline)
+            finally:
+                stop.value = 1
     stats.runs = stats.assignments_generated = runs
     stats.states_total, stats.states_max_run = states, max_run
     if runs:
@@ -148,18 +151,25 @@ def decide(
     return DecideResult(status, pos, stats)
 
 
+def _check_workers(workers) -> None:
+    # ThreadPoolExecutor takes 1.5 as readily as 2.
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError("workers must be a positive integer")
+
+
 def walk(g: Graph, b: int, tree: RootedTree, roots: range | None, max_states: int,
-         deadline: float) -> tuple:
+         deadline: float, stop: ctypes.c_int | None = None) -> tuple:
     """The part of decide's stream whose root lo lies in `roots` (all of
     it if None): (status, ordering or None, runs, states, largest run's
     states), as _combine folds its runs. One compiled call (c_decide)
     when c_kernel_for(n) allows it, else the Python loop of dfs_decide
     over enumerate_assignments, its runs sharing one SearchPlan; the
     choice of kernel is made here only. Past the deadline it answers
-    UNKNOWN after 0 runs, on either kernel."""
+    UNKNOWN after 0 runs, on either kernel. `stop` goes to the compiled
+    call (see c_decide); the Python loop has no stop flag."""
     if time.monotonic() > deadline:
         return UNKNOWN, None, 0, 0, 0
-    found = c_decide(g, b, tree, max_states=max_states, deadline=deadline, roots=roots)
+    found = c_decide(g, b, tree, max_states=max_states, deadline=deadline, roots=roots, stop=stop)
     if found is not None:
         return found
     plan = SearchPlan(g, b, tree)
@@ -172,7 +182,7 @@ def walk(g: Graph, b: int, tree: RootedTree, roots: range | None, max_states: in
 def _combine(results, deadline: float) -> tuple:
     """Fold (status, ordering, runs, states, max_run) results, taken in
     stream order, into one under decide's rules: the first YES wins; an
-    UNKNOWN (a capped run, a dead worker) makes the answer UNKNOWN
+    UNKNOWN (a capped run or part) makes the answer UNKNOWN
     unless a later result is YES; an UNKNOWN past the deadline ends the
     fold. Runs and states add up, and max_run is the largest. Used on
     the runs of a Python part and on the parts of a decide."""
@@ -191,79 +201,6 @@ def _combine(results, deadline: float) -> tuple:
                 return UNKNOWN, None, runs, states, max_run
             unknown_seen = True
     return UNKNOWN if unknown_seen else NO, None, runs, states, max_run
-
-
-# The result of a part whose worker process died.
-_LOST = (UNKNOWN, None, 0, 0, 0)
-
-
-def _forked_runs(tasks, run, workers):
-    """Yield run(task) for each of the list `tasks`, in order, computed
-    in `workers` forked processes (fewer if there are fewer tasks) that
-    each own a pipe and hold one task at a time.
-
-    A worker gets the next task as soon as it is free, and results that
-    come back early wait here for their turn. A task whose worker died
-    yields _LOST, and once every worker has died the stream ends; an
-    exception raised by run is re-raised here. Closing the generator
-    kills and joins every worker.
-    """
-    ctx = multiprocessing.get_context("fork")
-    procs, conns = [], []
-    try:
-        for _ in range(min(workers, len(tasks))):
-            conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_serve, args=(child_conn, run), daemon=True)
-            proc.start()
-            child_conn.close()
-            procs.append(proc)
-            conns.append(conn)
-        idle = conns[:]  # live workers holding no task
-        busy = {}  # pipe -> index of the task its worker holds
-        done = {}  # index -> result not yet yielded
-        todo = deque(enumerate(tasks))
-        for i in range(len(tasks)):
-            while i not in done:
-                while idle and todo:
-                    k, task = todo.popleft()
-                    conn = idle.pop()
-                    with contextlib.suppress(OSError):  # a dead worker shows as EOF below
-                        conn.send(task)
-                    busy[conn] = k
-                if not busy:
-                    return  # every worker has died, each on a task that yielded _LOST
-                for conn in wait(list(busy)):
-                    k = busy.pop(conn)
-                    try:
-                        done[k] = conn.recv()
-                    except (EOFError, OSError):
-                        done[k] = _LOST
-                    else:
-                        idle.append(conn)
-            out = done.pop(i)
-            if isinstance(out, BaseException):
-                raise out
-            yield out
-    finally:
-        for proc in procs:
-            proc.kill()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
-
-
-def _serve(conn, run):
-    """A worker of _forked_runs: answer each task with run(task), or
-    with the exception that it raised, until the pipe closes."""
-    with contextlib.suppress(EOFError):
-        while True:
-            task = conn.recv()
-            try:
-                out = run(task)
-            except Exception as exc:
-                out = exc
-            conn.send(out)
 
 
 def bounds(g: Graph, deadline: float = math.inf) -> tuple[int, int, list[int]]:
@@ -356,8 +293,7 @@ def minimize_bandwidth(
     a component without it is rooted at its own vertex 0.
     """
     wall_start = time.monotonic()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     if g.n and not (0 <= root < g.n):
         raise GraphError(f"root {root} out of range")
     if budget is None:

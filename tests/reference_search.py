@@ -176,23 +176,24 @@ def bw_dfs():
     """The compiled kernel's bw_dfs, its argument types declared."""
     dfs = search._c_kernel().bw_dfs
     u64_p, int_p = ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int)
-    # n, adj, lo, width, step, max_states, deadline, path, out (the states)
+    # n, adj, lo, width, step, max_states, deadline, stop, path, out (the states)
     dfs.argtypes = [ctypes.c_int, u64_p, int_p, int_p, int_p, ctypes.c_uint64, ctypes.c_double,
-                    int_p, u64_p]
+                    int_p, int_p, u64_p]
     dfs.restype = ctypes.c_int
     return dfs
 
 
-def _dfs_c(g, b, tree, lo, max_states, deadline):
+def _dfs_c(g, b, tree, lo, max_states, deadline, stop=None):
     """One bw_dfs call: (status, path or None, stats), path[d] being the
-    vertex placed at step d."""
+    vertex placed at step d. `stop` is the kernel's stop flag, a
+    ctypes.c_int, or None for none."""
     n = g.n
     ints = ctypes.c_int * n
     path, states = ints(), ctypes.c_uint64()
     code = bw_dfs()(
         n, (ctypes.c_uint64 * n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)), ints(*lo),
         ints(*(segment_width(tree, v) for v in range(n))), ints(*color_order(n, b).step_base_segment),
-        max(0, min(max_states, (1 << 64) - 1)), deadline, path, ctypes.byref(states),
+        max(0, min(max_states, (1 << 64) - 1)), deadline, stop, path, ctypes.byref(states),
     )
     status = search._C_STATUS[code]
     return status, path[:] if status == YES else None, SearchStats(states.value)

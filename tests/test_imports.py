@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -67,3 +68,13 @@ def test_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:
         assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+def test_package_import_is_lean():
+    # A fresh interpreter, since the test session itself may have loaded
+    # either module already.
+    code = "import sys, bwexact; print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))"
+    src = str(pathlib.Path(bwexact.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         cwd=src, timeout=60)
+    assert out.stdout.split() == ["[]"]

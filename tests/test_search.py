@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import math
 import random
@@ -342,6 +343,16 @@ class TestKernelEquivalence:
         assert c == (UNKNOWN, None, 1)
         assert c == outcome(python_kernel(g, 2, tree, lo, deadline=past))
 
+    def test_stop_flag_is_unknown(self):
+        # A set stop flag ends the run where the clock would, before the root.
+        g = generate("cycle", 8)
+        tree = spanning_tree(g, 0)
+        lo = next(enumerate_assignments(g, tree, 2))
+        out = reference_search._dfs_c(g, 2, tree, lo, DEFAULT_MAX_STATES, math.inf, ctypes.c_int(1))
+        assert outcome(out) == (UNKNOWN, None, 1)
+        out = reference_search._dfs_c(g, 2, tree, lo, DEFAULT_MAX_STATES, math.inf, ctypes.c_int(0))
+        assert outcome(out) == outcome(c_kernel(g, 2, tree, lo))
+
     def test_future_deadline_changes_nothing(self):
         g = generate("random_gnp", 9, 0.4, seed=1)
         assert_kernels_agree(g, 3, limit=30, deadline=time.monotonic() + 600)
@@ -389,6 +400,16 @@ class TestCompiledWalk:
         g = generate("random_gnp", 14, 0.3, seed=1)
         res = assert_walk_matches_loop(g, 4, deadline=time.monotonic() - 1)
         assert (res.status, res.stats.runs, res.stats.states_total, res.stats.kernel) == (UNKNOWN, 0, 0, None)
+
+    def test_stop_flag_ends_walk(self):
+        # Unstopped, this walk is a "no" after 28,280 runs; with the flag
+        # set, its first run stops at the root and so does the walk.
+        g = generate("random_tree", 20)
+        tree = spanning_tree(g, 0)
+        assert search.c_decide(g, 2, tree, stop=ctypes.c_int(0))[:3] == (NO, None, 28_280)
+        status, pos, runs, states, _ = search.c_decide(g, 2, tree, stop=ctypes.c_int(1))
+        assert (status, pos) == (UNKNOWN, None)
+        assert runs <= 1 and states <= 1
 
     def test_root_parts_match_python_loop(self):
         # Each part of the stream, lo[root] = c, on its own: the compiled
@@ -571,7 +592,7 @@ class TestWitnessCheck:
 
     def test_bad_witness_from_compiled_walk_raises(self, monkeypatch):
         # The walk says yes with vertices 0 and 1 of the path two apart.
-        def bad_decide(n, b, adj, order, parent, root_lo, root_hi, max_states, deadline, pos, out):
+        def bad_decide(n, b, adj, order, parent, root_lo, root_hi, max_states, deadline, stop, pos, out):
             pos[:] = [1, 3, 2, 4]
             out[0] = 1
             return 1
