@@ -65,7 +65,7 @@ def _emit(report: dict, as_json: bool) -> None:
 def cmd_decide(args) -> int:
     g = _load_graph(args.graph)
     start = time.monotonic()
-    res = decide(g, args.b, _budget(args), root=args.root, workers=args.workers)
+    res = decide(g, args.b, _budget(args), workers=args.workers)
     report = _report(args, {
         "input": {"n": g.n, "m": g.m},
         "status": res.status,
@@ -80,7 +80,7 @@ def cmd_decide(args) -> int:
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     start = time.monotonic()
-    res = minimize_bandwidth(g, _budget(args), root=args.root, workers=args.workers)
+    res = minimize_bandwidth(g, _budget(args), workers=args.workers)
     report = _report(args, {
         "input": {"n": g.n, "m": g.m},
         **res.to_dict(),
@@ -202,23 +202,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="visited-state cap per search run")
         p.add_argument("--max-seconds", type=float, default=None,
                        help="overall wall-time cap")
-        p.add_argument("--root", type=int, default=0,
-                       help="vertex the greedy leafy spanning tree grows from")
         p.add_argument("--workers", type=int, default=1,
                        help="threads (default 1), each searching the assignments of one root "
                             "segment at a time in the compiled kernel; results match serial; "
-                            "graphs above the kernel's 21 vertices run serially")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+                            "graphs above the compiled kernel's vertex limit (MAXN in "
+                            "_kernel.c) run serially")
 
     p = sub.add_parser("decide", help="is there an ordering of bandwidth <= b?")
     p.add_argument("graph")
     p.add_argument("--b", type=int, required=True)
     add_budget_flags(p)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("solve", help="compute the exact bandwidth with a witness")
     p.add_argument("graph")
     add_budget_flags(p)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force bandwidth (small n only)")

@@ -97,14 +97,14 @@ def decide(
     g: Graph,
     b: int,
     budget: Budget | None = None,
-    root: int = 0,
+    *,
     workers: int = 1,
     deadline: float | None = None,
 ) -> DecideResult:
     """Does g admit an ordering of bandwidth <= b?
 
     Searches each segment assignment over the greedy leafy spanning
-    tree grown from `root` (graph.spanning_tree) that passes the edge
+    tree grown from vertex 0 (graph.spanning_tree) that passes the edge
     filter, in stream order. The stream falls into parts by the root's
     segment, lo[root] = -1, 0, ... (see assignments), each computed by
     walk. A serial decide walks the whole stream. With `workers` above
@@ -126,7 +126,7 @@ def decide(
         raise GraphError(f"decide requires 1 <= b < n, got b={b}, n={g.n}")
     if budget is None:
         budget = Budget()
-    tree = spanning_tree(g, root)  # raises on a root out of range or disconnected input
+    tree = spanning_tree(g, 0)  # raises on disconnected input
     stats = DecideStats(leaf_count=tree.leaf_count)
     if deadline is None:
         deadline = budget.deadline()
@@ -281,7 +281,7 @@ class SolveResult:
 def minimize_bandwidth(
     g: Graph,
     budget: Budget | None = None,
-    root: int = 0,
+    *,
     workers: int = 1,
 ) -> SolveResult:
     """Exact bandwidth of g with a witness ordering.
@@ -289,13 +289,11 @@ def minimize_bandwidth(
     Components are solved independently (binary search on b per
     component) and composed into consecutive position blocks, larger
     components first. The budget's max_seconds bounds the whole solve:
-    every decide gets the same deadline. `root` must be a vertex of g;
-    a component without it is rooted at its own vertex 0.
+    every decide gets the same deadline. Each component's spanning
+    tree grows from its own vertex 0.
     """
     wall_start = time.monotonic()
     _check_workers(workers)
-    if g.n and not (0 <= root < g.n):
-        raise GraphError(f"root {root} out of range")
     if budget is None:
         budget = Budget()
     deadline = budget.deadline()
@@ -308,10 +306,7 @@ def minimize_bandwidth(
     agg = DecideStats()
     brackets = []
     for comp, orig in comps:
-        # Root flag refers to original labels; fall back to 0 when the
-        # requested root lies in another component.
-        comp_root = orig.index(root) if root in orig else 0
-        cres = _solve_component(comp, budget, deadline, comp_root, workers, agg)
+        cres = _solve_component(comp, budget, deadline, workers, agg)
         if cres.status == UNKNOWN:
             status = UNKNOWN
             brackets.append({"component_size": comp.n, "bracket": cres.stats["bracket"]})
@@ -333,8 +328,7 @@ def minimize_bandwidth(
 
 
 def _solve_component(
-    comp: Graph, budget: Budget, deadline: float, root: int, workers: int,
-    agg: DecideStats,
+    comp: Graph, budget: Budget, deadline: float, workers: int, agg: DecideStats,
 ) -> SolveResult:
     n = comp.n
     if n == 1:
@@ -343,7 +337,7 @@ def _solve_component(
     hi = best_b - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        res = decide(comp, mid, budget, root=root, workers=workers, deadline=deadline)
+        res = decide(comp, mid, budget, workers=workers, deadline=deadline)
         agg.merge(res.stats)
         if res.status == YES:
             best_b = mid

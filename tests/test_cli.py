@@ -108,6 +108,19 @@ class TestUsage:
         assert main(["analyze", "--tol", "1e-9"]) == 3
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["decide", "GRAPH", "--b", "1", "--root", "1"],
+        ["solve", "GRAPH", "--root", "1"],
+        ["bench", "small", "--root", "1"],
+        ["bench", "small", "--json"],
+    ])
+    def test_removed_flag_exit_3(self, tmp_path, capsys, argv):
+        # Each component's tree grows from its own vertex 0, and bench
+        # always prints JSON lines, so neither flag is taken.
+        path = write(tmp_path, "p4.g", generate("path", 4))
+        assert main([path if a == "GRAPH" else a for a in argv]) == 3
+        assert argv[-1] in capsys.readouterr().err
+
     def test_help_exit_0(self, capsys):
         assert main(["decide", "--help"]) == 0
         assert "--b" in capsys.readouterr().out

@@ -132,6 +132,11 @@ class TestSpanningTree:
         with pytest.raises(GraphError):
             spanning_tree(Graph(4, [(0, 1), (2, 3)]), 0)
 
+    @pytest.mark.parametrize("root", [5, -1])
+    def test_root_must_be_a_vertex(self, root):
+        with pytest.raises(GraphError, match="out of range"):
+            spanning_tree(generate("path", 5), root)
+
     def test_preorder_covers_all(self):
         g = generate("random_gnp", 9, 0.4, seed=1)
         tree = spanning_tree(g, 3)

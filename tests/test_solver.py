@@ -93,11 +93,6 @@ class TestDecide:
         with pytest.raises(GraphError):
             decide(generate("path", 4), 4)
 
-    @pytest.mark.parametrize("root", [5, -1])
-    def test_root_must_be_a_vertex(self, root):
-        with pytest.raises(GraphError, match="out of range"):
-            decide(generate("path", 5), 1, root=root)
-
     def test_past_deadline_same_on_both_kernels(self, monkeypatch):
         # Parts that start past the deadline make no run, whichever
         # kernel would have run them.
@@ -272,14 +267,19 @@ class TestMinimize:
         res = minimize_bandwidth(Graph(2, [(0, 1)]))
         assert res.bandwidth == 1
 
-    def test_root_must_be_a_vertex(self):
-        for root in (99, 5, -1):
-            with pytest.raises(GraphError, match="out of range"):
-                minimize_bandwidth(generate("path", 5), root=root)
-        # A root in another component still roots this one at vertex 0.
+    def test_components_rooted_at_own_vertex_0(self):
         g = Graph(5, [(0, 1), (2, 3), (3, 4)])
-        assert minimize_bandwidth(g, root=1).bandwidth == 1
-        assert minimize_bandwidth(Graph(0, []), root=99).bandwidth == 0
+        assert minimize_bandwidth(g).bandwidth == 1
+        assert minimize_bandwidth(Graph(0, [])).bandwidth == 0
+
+    def test_options_after_budget_are_keyword_only(self):
+        # A caller that still passes a root positionally must get an
+        # error, not have it read as a worker count.
+        g = generate("path", 5)
+        with pytest.raises(TypeError):
+            minimize_bandwidth(g, None, 1)
+        with pytest.raises(TypeError):
+            decide(g, 1, None, 1)
 
     def test_perfect_matching_is_linear(self):
         # 20,000 components; the component split must not rescan g per component.
