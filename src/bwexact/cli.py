@@ -16,16 +16,7 @@ from .analysis import McWeights, constraint_residuals, kappa_for, optimize_weigh
 from .assignments import max_assignments
 from .graph import FAMILY_PARAMS, Graph, GraphError, generate, parse_graph, write_graph
 from .search import per_run_state_ceiling
-from .solve import (
-    Budget,
-    OPTIMAL,
-    NO,
-    UNKNOWN,
-    YES,
-    decide,
-    minimize_bandwidth,
-    oracle_bandwidth,
-)
+from .solve import NO, OPTIMAL, UNKNOWN, YES, Budget, decide, minimize_bandwidth, oracle_bandwidth
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -42,15 +33,13 @@ def _budget(args) -> Budget:
     return Budget(max_states=args.max_states, max_seconds=args.max_seconds)
 
 
-def _report(args, payload: dict) -> dict:
-    return {
-        "command": " ".join(args.echo),
-        **payload,
-    }
-
-
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
+def _emit(args, payload: dict, start: float) -> None:
+    """Print payload between the command line and the wall time since
+    `start`: one JSON line with --json, else one `key: value` line per
+    entry, a dict's entries indented under its key."""
+    report = {"command": " ".join(args.echo), **payload,
+              "timing": {"wall_seconds": time.monotonic() - start}}
+    if args.json:
         print(json.dumps(report))
         return
     for key, value in report.items():
@@ -62,44 +51,33 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def cmd_decide(args) -> int:
+def _result(g: Graph, res) -> dict:
+    """The payload of decide, solve, oracle and each bench line."""
+    return {"input": {"n": g.n, "m": g.m}, **res.to_dict()}
+
+
+def _run(args, solver):
+    """Load args.graph, run solver on it, report the result and return it.
+    The clock starts once the file is read."""
     g = _load_graph(args.graph)
     start = time.monotonic()
-    res = decide(g, args.b, _budget(args), workers=args.workers)
-    report = _report(args, {
-        "input": {"n": g.n, "m": g.m},
-        "status": res.status,
-        "ordering": res.ordering,
-        "counters": res.stats.to_dict(),
-        "timing": {"wall_seconds": time.monotonic() - start},
-    })
-    _emit(report, args.json)
+    res = solver(g)
+    _emit(args, _result(g, res), start)
+    return res
+
+
+def cmd_decide(args) -> int:
+    res = _run(args, lambda g: decide(g, args.b, _budget(args), workers=args.workers))
     return {YES: EXIT_OK, NO: EXIT_NO, UNKNOWN: EXIT_UNKNOWN}[res.status]
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
-    start = time.monotonic()
-    res = minimize_bandwidth(g, _budget(args), workers=args.workers)
-    report = _report(args, {
-        "input": {"n": g.n, "m": g.m},
-        **res.to_dict(),
-        "timing": {"wall_seconds": time.monotonic() - start},
-    })
-    _emit(report, args.json)
+    res = _run(args, lambda g: minimize_bandwidth(g, _budget(args), workers=args.workers))
     return EXIT_OK if res.status == OPTIMAL else EXIT_UNKNOWN
 
 
 def cmd_oracle(args) -> int:
-    g = _load_graph(args.graph)
-    start = time.monotonic()
-    res = oracle_bandwidth(g, limit=args.limit)
-    report = _report(args, {
-        "input": {"n": g.n, "m": g.m},
-        **res.to_dict(),
-        "timing": {"wall_seconds": time.monotonic() - start},
-    })
-    _emit(report, args.json)
+    _run(args, lambda g: oracle_bandwidth(g, limit=args.limit))
     return EXIT_OK
 
 
@@ -112,16 +90,9 @@ def cmd_analyze(args) -> int:
         bound = kappa_for(weights)
     else:
         weights, bound = optimize_weights()
-    residuals = constraint_residuals(bound.kappa, weights)
-    report = _report(args, {
-        "alpha": weights.alpha,
-        "beta": weights.beta,
-        "kappa": bound.kappa,
-        "residuals": list(residuals),
-        "binding": list(bound.binding),
-        "timing": {"wall_seconds": time.monotonic() - start},
-    })
-    _emit(report, args.json)
+    residuals = list(constraint_residuals(bound.kappa, weights))
+    _emit(args, {"alpha": weights.alpha, "beta": weights.beta, "kappa": bound.kappa,
+                 "residuals": residuals, "binding": list(bound.binding)}, start)
     return EXIT_OK
 
 
@@ -172,20 +143,13 @@ def cmd_bench(args) -> int:
     for name, g in bench_instances(args.suite, args.seed):
         start = time.monotonic()
         res = minimize_bandwidth(g, budget, workers=args.workers)
-        stats = res.stats
-        n = g.n
+        leaves = res.stats["leaf_count"]
         line = {
             "name": name,
-            "n": n,
-            "m": g.m,
-            "bandwidth": res.bandwidth,
-            "status": res.status,
-            "states_total": stats["states_total"],
-            "states_max_run": stats["states_max_run"],
-            "per_run_ceiling": per_run_state_ceiling(n, stats["leaf_count"]),
-            "assignments_generated": stats["assignments_generated"],
-            "phase1_ceiling": max_assignments(n, stats["leaf_count"]),
-            "wall_seconds": time.monotonic() - start,
+            **_result(g, res),
+            "ceilings": {"per_run": per_run_state_ceiling(g.n, leaves),
+                         "phase1": max_assignments(g.n, leaves)},
+            "timing": {"wall_seconds": time.monotonic() - start},
         }
         print(json.dumps(line), flush=True)
     return EXIT_OK
@@ -201,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-states", type=int, default=Budget().max_states,
                        help="visited-state cap per search run")
         p.add_argument("--max-seconds", type=float, default=None,
-                       help="overall wall-time cap")
+                       help="wall-time cap per decide or solve; per instance under bench")
         p.add_argument("--workers", type=int, default=1,
                        help="threads (default 1), each searching the assignments of one root "
                             "segment at a time in the compiled kernel; results match serial; "

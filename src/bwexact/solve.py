@@ -92,6 +92,9 @@ class DecideResult:
     ordering: list[int] | None
     stats: DecideStats
 
+    def to_dict(self) -> dict:
+        return asdict(self)
+
 
 def decide(
     g: Graph,
@@ -122,8 +125,8 @@ def decide(
     _check_workers(workers)
     if g.n < 2:
         raise GraphError("decide requires n >= 2; route tiny graphs through solve")
-    if not (1 <= b < g.n):
-        raise GraphError(f"decide requires 1 <= b < n, got b={b}, n={g.n}")
+    if not isinstance(b, int) or not (1 <= b < g.n):
+        raise GraphError(f"decide requires an integer b with 1 <= b < n, got b={b!r}, n={g.n}")
     if budget is None:
         budget = Budget()
     tree = spanning_tree(g, 0)  # raises on disconnected input
@@ -306,12 +309,12 @@ def minimize_bandwidth(
     agg = DecideStats()
     brackets = []
     for comp, orig in comps:
-        cres = _solve_component(comp, budget, deadline, workers, agg)
-        if cres.status == UNKNOWN:
+        width, pos, bracket = _solve_component(comp, budget, deadline, workers, agg)
+        if bracket is not None:
             status = UNKNOWN
-            brackets.append({"component_size": comp.n, "bracket": cres.stats["bracket"]})
-        best = max(best, cres.bandwidth)
-        for v, p in enumerate(cres.ordering):
+            brackets.append({"component_size": comp.n, "bracket": bracket})
+        best = max(best, width)
+        for v, p in enumerate(pos):
             final_pos[orig[v]] = p + offset
         offset += comp.n
     stats = agg.to_dict()
@@ -329,10 +332,11 @@ def minimize_bandwidth(
 
 def _solve_component(
     comp: Graph, budget: Budget, deadline: float, workers: int, agg: DecideStats,
-) -> SolveResult:
-    n = comp.n
-    if n == 1:
-        return SolveResult(0, [1], OPTIMAL)
+) -> tuple[int, list[int], list[int] | None]:
+    """(bandwidth, ordering, None) when the binary search certifies it;
+    (best found, its ordering, [lo, best]) when a decide answers UNKNOWN."""
+    if comp.n == 1:
+        return 0, [1], None
     lo, best_b, best_pos = bounds(comp, deadline)
     hi = best_b - 1
     while lo <= hi:
@@ -346,11 +350,8 @@ def _solve_component(
         elif res.status == NO:
             lo = mid + 1
         else:
-            return SolveResult(
-                best_b, best_pos, UNKNOWN,
-                {"bracket": [lo, best_b]},
-            )
-    return SolveResult(best_b, best_pos, OPTIMAL)
+            return best_b, best_pos, [lo, best_b]
+    return best_b, best_pos, None
 
 
 def oracle_bandwidth(g: Graph, limit: int = 10) -> SolveResult:

@@ -22,30 +22,37 @@ def brute_bandwidth(g: Graph) -> int:
 
 
 def all_b_orderings(g: Graph, b: int) -> list[list[int]]:
-    """Every ordering with bandwidth <= b, by pruned exhaustive placement."""
+    """Every ordering with bandwidth <= b, by pruned exhaustive placement,
+    in lexicographic order of the vertex sequence."""
     n = g.n
-    pos = [0] * n
+    nbr = [sum(1 << u for u in a) for a in g.adj]
+    pos = [0] * n  # a leaf has placed every vertex, so pos needs no undo
     at = [0] * (n + 1)  # at[p]: the vertex at position p
     out = []
 
-    def rec(p):
+    def rec(p, placed, recent):
+        # placed: mask of the vertices at 1..p-1; recent: those at p-b..p-1.
         if p > n:
             out.append(list(pos))
             return
         # The vertex at p - b - 1 is too far from every position left, so
         # an unplaced neighbour of it makes this branch dead.
-        if p > b + 1 and any(pos[u] == 0 for u in g.adj[at[p - b - 1]]):
+        if p > b + 1 and nbr[at[p - b - 1]] & ~placed:
             return
-        for v in range(n):
-            if pos[v]:
-                continue
-            if all(pos[u] == 0 or p - pos[u] <= b for u in g.adj[v]):
+        # v may go at p unless a neighbour sits more than b positions back.
+        far = placed & ~recent
+        leaving = 1 << at[p - b] if p > b else 0  # more than b back from p + 1
+        free = ((1 << n) - 1) & ~placed
+        while free:
+            bit = free & -free
+            free ^= bit
+            v = bit.bit_length() - 1
+            if not nbr[v] & far:
                 pos[v] = p
                 at[p] = v
-                rec(p + 1)
-                pos[v] = 0
+                rec(p + 1, placed | bit, (recent | bit) & ~leaving)
 
-    rec(1)
+    rec(1, 0, 0)
     return out
 
 

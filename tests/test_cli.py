@@ -9,8 +9,10 @@ import pytest
 
 import bwexact
 from bwexact import solve
-from bwexact.cli import main
+from bwexact.assignments import max_assignments
+from bwexact.cli import bench_instances, main
 from bwexact.graph import generate, ordering_bandwidth, parse_graph, write_graph
+from bwexact.search import per_run_state_ceiling
 
 
 def write(tmp_path, name, g):
@@ -26,7 +28,7 @@ class TestDecide:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "yes"
         assert report["input"] == {"n": 4, "m": 3}
-        assert report["counters"]["kernel"] in ("c", "python")
+        assert report["stats"]["kernel"] in ("c", "python")
 
     def test_no_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "k4.g", generate("complete", 4))
@@ -69,7 +71,7 @@ class TestDecide:
         report = json.loads(out)
         assert report["status"] == "yes"
         assert ordering_bandwidth(g, report["ordering"]) <= 750
-        assert report["counters"]["kernel"] == "python"
+        assert report["stats"]["kernel"] == "python"
         # JSON readers that hold numbers as doubles must read every
         # integer in the report exactly.
         ints = []
@@ -221,13 +223,37 @@ class TestGenCmd:
         assert "family caterpillar takes 2 parameter(s), got 3" in capsys.readouterr().err
 
 
+class TestReportSchema:
+    def test_decide_solve_oracle_share_keys(self, tmp_path, capsys):
+        path = write(tmp_path, "c6.g", generate("cycle", 6))
+        for argv in (["decide", path, "--b", "2"], ["solve", path], ["oracle", path]):
+            assert main([*argv, "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert {"command", "input", "status", "ordering", "stats", "timing"} <= report.keys()
+            assert report["command"] == " ".join(["bwexact", *argv, "--json"])
+            assert report["input"] == {"n": 6, "m": 6}
+            assert list(report["timing"]) == ["wall_seconds"]
+
+
 class TestBenchCmd:
     def test_small_suite_lines(self, capsys):
+        # Each line holds minimize_bandwidth's own record of its instance
+        # and the paper's two ceilings for its n and leaf count.
         assert main(["bench", "small", "--seed", "1"]) == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert len(lines) > 10
-        for line in lines:
+        instances = list(bench_instances("small", 1))
+        assert [line["name"] for line in lines] == [name for name, _ in instances]
+        for line, (_, g) in zip(lines, instances):
+            stats = line["stats"]
             assert line["status"] == "optimal"
-            assert line["states_max_run"] <= line["per_run_ceiling"] or \
-                line["states_max_run"] == 0
-            assert line["assignments_generated"] <= line["phase1_ceiling"]
+            assert stats["states_max_run"] <= line["ceilings"]["per_run"] or \
+                stats["states_max_run"] == 0
+            assert stats["assignments_generated"] <= line["ceilings"]["phase1"]
+            want = solve.minimize_bandwidth(g).to_dict()
+            del want["stats"]["wall_seconds"], stats["wall_seconds"]
+            assert {k: line[k] for k in want} == want
+            assert line["input"] == {"n": g.n, "m": g.m}
+            leaves = stats["leaf_count"]
+            assert line["ceilings"] == {"per_run": per_run_state_ceiling(g.n, leaves),
+                                        "phase1": max_assignments(g.n, leaves)}
+            assert list(line["timing"]) == ["wall_seconds"]

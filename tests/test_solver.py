@@ -93,6 +93,15 @@ class TestDecide:
         with pytest.raises(GraphError):
             decide(generate("path", 4), 4)
 
+    @pytest.mark.parametrize("n, p, kernel", [(12, 0.3, "c"), (25, 0.2, "python")])
+    def test_rejects_non_integer_b(self, n, p, kernel):
+        # 2.0 meets 1 <= b < n, but the compiled call and the Python loop
+        # each fail on it with their own error; decide refuses it first.
+        g = generate("random_gnp", n, p, seed=1)
+        assert decide(g, 2).stats.kernel in (kernel, "python")
+        with pytest.raises(GraphError, match="integer b"):
+            decide(g, 2.0)
+
     def test_past_deadline_same_on_both_kernels(self, monkeypatch):
         # Parts that start past the deadline make no run, whichever
         # kernel would have run them.
