@@ -23,7 +23,8 @@
  * passed. It is read wherever the clock is. Another thread sets it once
  * a parallel decide's answer is known, so that the parts still running
  * return; it only goes from 0 to 1, so a stale read costs one more
- * check at most.
+ * check at most. Both return BW_NO, BW_YES or BW_UNKNOWN, the last for
+ * any stop short of an answer: cap, deadline, stop flag, out of memory.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -33,7 +34,7 @@
 
 const int bw_maxn = MAXN;
 
-enum { BW_NO = 0, BW_YES = 1, BW_UNKNOWN = 2, BW_NOMEM = 3 };
+enum { BW_NO = 0, BW_YES = 1, BW_UNKNOWN = 2 };
 
 typedef struct {
     uint64_t *slot; /* 0 marks an empty slot; the root key 0 is not stored */
@@ -155,8 +156,8 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
     }
     table tb = {calloc(1024, sizeof(uint64_t)), 1023};
     key[0] = 0;
-    if (tb.slot == NULL) {
-        status = BW_NOMEM;
+    if (tb.slot == NULL) { /* out of memory */
+        status = BW_UNKNOWN;
         goto done;
     }
     if (past(deadline, stop)) {
@@ -191,8 +192,8 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
         }
         *slot = child;
         states++;
-        if (2 * (states - 1) > tb.mask + 1 && !grow(&tb)) {
-            status = BW_NOMEM;
+        if (2 * (states - 1) > tb.mask + 1 && !grow(&tb)) { /* out of memory */
+            status = BW_UNKNOWN;
             goto done;
         }
         path[depth] = v;
@@ -289,7 +290,7 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
                 pos[path[k]] = seq[k];
             return BW_YES;
         }
-        if (status != BW_NO) {
+        if (status == BW_UNKNOWN) {
             if (past(deadline, stop))
                 return BW_UNKNOWN;
             unknown = 1;

@@ -121,18 +121,18 @@ def bfs(adj, src: int, dist: list[int]) -> tuple[list[int], list[int | None]]:
     each vertex's neighbors taken in the order of its list in `adj` (a
     graph's `adj`, ascending, or the same lists in another order): sets
     dist[v] to v's distance from src for each vertex reached, and returns
-    them in visit order with each one's BFS parent (None for src)
-    alongside. Linear in what it reaches."""
+    them in visit order with the position in that order of each one's BFS
+    parent (None for src) alongside. Linear in what it reaches."""
     dist[src] = 0
     order: list[int] = [src]
     via: list[int | None] = [None]
-    for u in order:
+    for i, u in enumerate(order):
         d = dist[u] + 1
         for w in adj[u]:
             if dist[w] < 0:
                 dist[w] = d
                 order.append(w)
-                via.append(u)
+                via.append(i)
     return order, via
 
 

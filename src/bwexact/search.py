@@ -253,7 +253,7 @@ def _hall_child(ok, unplaced, nbrs, t, slots):
 
 
 # bw_dfs and bw_decide return codes; out of memory is UNKNOWN like any cap.
-_C_STATUS = (NO, YES, UNKNOWN, UNKNOWN)
+_C_STATUS = (NO, YES, UNKNOWN)
 _U64_MAX = (1 << 64) - 1
 
 

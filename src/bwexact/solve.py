@@ -46,7 +46,7 @@ class Budget:
     max_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_states, int) or self.max_states <= 0:
+        if type(self.max_states) is not int or self.max_states <= 0:  # bool is an int too
             raise ValueError("max_states must be a positive integer")
         if self.max_seconds is not None and not (self.max_seconds > 0):  # NaN too
             raise ValueError("max_seconds must be a positive number")
@@ -125,7 +125,7 @@ def decide(
     _check_workers(workers)
     if g.n < 2:
         raise GraphError("decide requires n >= 2; route tiny graphs through solve")
-    if not isinstance(b, int) or not (1 <= b < g.n):
+    if type(b) is not int or not (1 <= b < g.n):
         raise GraphError(f"decide requires an integer b with 1 <= b < n, got b={b!r}, n={g.n}")
     if budget is None:
         budget = Budget()
@@ -133,7 +133,8 @@ def decide(
     stats = DecideStats(leaf_count=tree.leaf_count)
     if deadline is None:
         deadline = budget.deadline()
-    if workers == 1 or c_kernel_for(g.n) is None:
+    kernel = c_kernel_for(g.n)
+    if workers == 1 or kernel is None:
         status, pos, runs, states, max_run = walk(g, b, tree, None, budget.max_states, deadline)
     else:
         # Only a parallel decide needs it; it loads logging, which the package import need not.
@@ -150,13 +151,13 @@ def decide(
     stats.runs = stats.assignments_generated = runs
     stats.states_total, stats.states_max_run = states, max_run
     if runs:
-        stats.kernel = "python" if c_kernel_for(g.n) is None else "c"
+        stats.kernel = "python" if kernel is None else "c"
     return DecideResult(status, pos, stats)
 
 
 def _check_workers(workers) -> None:
-    # ThreadPoolExecutor takes 1.5 as readily as 2.
-    if not isinstance(workers, int) or workers < 1:
+    # ThreadPoolExecutor takes 1.5 as readily as 2, and True as 1.
+    if type(workers) is not int or workers < 1:
         raise ValueError("workers must be a positive integer")
 
 
@@ -164,12 +165,13 @@ def walk(g: Graph, b: int, tree: RootedTree, roots: range | None, max_states: in
          deadline: float, stop: ctypes.c_int | None = None) -> tuple:
     """The part of decide's stream whose root lo lies in `roots` (all of
     it if None): (status, ordering or None, runs, states, largest run's
-    states), as _combine folds its runs. One compiled call (c_decide)
-    when c_kernel_for(n) allows it, else the Python loop of dfs_decide
-    over enumerate_assignments, its runs sharing one SearchPlan; the
-    choice of kernel is made here only. Past the deadline it answers
-    UNKNOWN after 0 runs, on either kernel. `stop` goes to the compiled
-    call (see c_decide); the Python loop has no stop flag."""
+    states), as _combine folds its runs. One compiled call (c_decide,
+    None when c_kernel_for(n) is), else the Python loop of dfs_decide
+    over enumerate_assignments, its runs sharing one SearchPlan; decide
+    reads c_kernel_for(n) once to choose threads and name the kernel.
+    Past the deadline it answers UNKNOWN after 0 runs, on either kernel.
+    `stop` goes to the compiled call (see c_decide); the Python loop has
+    no stop flag."""
     if time.monotonic() > deadline:
         return UNKNOWN, None, 0, 0, 0
     found = c_decide(g, b, tree, max_states=max_states, deadline=deadline, roots=roots, stop=stop)
@@ -242,22 +244,20 @@ def bounds(g: Graph, deadline: float = math.inf) -> tuple[int, int, list[int]]:
         if len(order) != n:
             raise GraphError("bounds require a connected graph")
         diam = max(diam, dist[order[-1]])
-        rank = [0] * n
-        for i, v in enumerate(order):
-            rank[v] = i
-        # The width of a BFS order is its widest tree edge: a non-tree
-        # edge u-w with u first has w seen before u's turn, so via[w]
-        # comes before u. Stop once it is no narrower than hi.
+        # The width of a BFS order is its widest tree edge, j - via[j]: a
+        # non-tree edge u-w with u first has w seen before u's turn, so
+        # w's parent comes before u. Stop once it is no narrower than hi.
         width = 0
         for j in range(1, n):
-            span = j - rank[via[j]]
+            span = j - via[j]
             if span > width:
                 width = span
                 if width >= hi:
                     break
         if width < hi:
             hi = width
-            pos = [i + 1 for i in rank]
+            for i, v in enumerate(order, 1):
+                pos[v] = i
         if hi == degree_bound:
             return hi, hi, pos
     return max(degree_bound, math.ceil((n - 1) / diam)), hi, pos
@@ -295,7 +295,6 @@ def minimize_bandwidth(
     every decide gets the same deadline. Each component's spanning
     tree grows from its own vertex 0.
     """
-    wall_start = time.monotonic()
     _check_workers(workers)
     if budget is None:
         budget = Budget()
@@ -318,7 +317,6 @@ def minimize_bandwidth(
             final_pos[orig[v]] = p + offset
         offset += comp.n
     stats = agg.to_dict()
-    stats["wall_seconds"] = time.monotonic() - wall_start
     stats["components"] = len(comps)
     if brackets:
         stats["unknown_brackets"] = brackets
@@ -363,8 +361,6 @@ def oracle_bandwidth(g: Graph, limit: int = 10) -> SolveResult:
     """
     if g.n > limit:
         raise GraphError(f"oracle limited to n <= {limit}, got n={g.n}")
-    if g.n == 0:
-        return SolveResult(0, [], OPTIMAL)
     identity = list(range(1, g.n + 1))
     best = ordering_bandwidth(g, identity)
     best_pos = identity

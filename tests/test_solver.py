@@ -101,6 +101,8 @@ class TestDecide:
         assert decide(g, 2).stats.kernel in (kernel, "python")
         with pytest.raises(GraphError, match="integer b"):
             decide(g, 2.0)
+        with pytest.raises(GraphError, match="integer b"):
+            decide(g, True)  # bool is an int, but not a b
 
     def test_past_deadline_same_on_both_kernels(self, monkeypatch):
         # Parts that start past the deadline make no run, whichever
@@ -185,7 +187,7 @@ class TestDecide:
         with pytest.raises(ValueError, match="positive number"):
             Budget(max_seconds=seconds)
 
-    @pytest.mark.parametrize("states", [float("nan"), 2.5, 0, -1])
+    @pytest.mark.parametrize("states", [float("nan"), 2.5, 0, -1, True])
     def test_budget_rejects_non_integer_states(self, states):
         # NaN never compares >= a count, so the cap would never fire, and
         # ctypes refuses a float as the kernel's uint64_t.
@@ -195,7 +197,7 @@ class TestDecide:
     def test_no_deadline_is_inf(self):
         assert Budget().deadline() == math.inf
 
-    @pytest.mark.parametrize("workers", [0, -1, 2.0, 1.5])
+    @pytest.mark.parametrize("workers", [0, -1, 2.0, 1.5, True])
     def test_rejects_workers_below_one(self, workers):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
             decide(generate("cycle", 6), 2, workers=workers)
@@ -256,6 +258,17 @@ class TestDecide:
         assert decide(generate("cycle", 6), 2).stats.kernel in ("c", "python")
         assert decide(generate("star", 21), 11).stats.kernel == "python"
 
+    def test_merge_names_mixed_kernels(self):
+        # A solve whose components ran on both kernels names neither; a
+        # record with no kernel (no run made) leaves the name as it is.
+        agg = DecideStats(kernel="c")
+        agg.merge(DecideStats())
+        assert agg.kernel == "c"
+        agg.merge(DecideStats(kernel="python"))
+        assert agg.kernel == "mixed"
+        agg.merge(DecideStats())
+        assert agg.kernel == "mixed"
+
 
 class TestMinimize:
     def test_known_small(self):
@@ -297,16 +310,6 @@ class TestMinimize:
         res = minimize_bandwidth(g)
         assert time.monotonic() - start < 10
         assert (res.status, res.bandwidth, res.stats["components"]) == (OPTIMAL, 1, 20_000)
-
-    def test_wall_seconds_covers_component_split(self, monkeypatch):
-        real_split = solve.connected_components
-
-        def slow_split(g):
-            time.sleep(0.05)
-            return real_split(g)
-
-        monkeypatch.setattr(solve, "connected_components", slow_split)
-        assert minimize_bandwidth(generate("cycle", 6)).stats["wall_seconds"] >= 0.05
 
     def test_python_kernel_setup_honours_deadline(self):
         # n is past the compiled kernel, and the Python kernel's set-up
