@@ -26,6 +26,12 @@ def segment_width(tree: RootedTree, v: int) -> int:
     return 4 if tree.is_leaf(v) else 2
 
 
+def root_choices(n: int, b: int) -> range:
+    """Every root lo of the stream: the width-2 segments from lo = -1
+    to the last base segment, the last that holds a position in 1..n."""
+    return range(-1, num_base_segments(n, b))
+
+
 def _nonempty(lo: int, hi: int, b: int, n: int) -> bool:
     return max(lo * (b + 1) + 1, 1) <= min(hi * (b + 1), n)
 
@@ -56,7 +62,7 @@ def enumerate_assignments(g: Graph, tree: RootedTree, b: int,
     earlier = [[u for u in g.adj[v] if rank[u] < d] for d, v in enumerate(order)]
     lo = [0] * n
     # stack[d] holds the untried choices of the vertex at depth d.
-    stack = [iter(range(-1, num_base_segments(n, b)) if roots is None else roots)]
+    stack = [iter(root_choices(n, b) if roots is None else roots)]
     while stack:
         d = len(stack) - 1
         v = order[d]
@@ -79,10 +85,3 @@ def enumerate_assignments(g: Graph, tree: RootedTree, b: int,
         child = order[d + 1]
         i = lo[tree.parent[child]]
         stack.append(iter((i - 1,) if tree.is_leaf(child) else (i - 1, i + 1)))
-
-
-def max_assignments(n: int, leaf_count: int = 0) -> int:
-    """Ceiling on the number of generated assignments over a tree with
-    `leaf_count` leaves: (n+1) * 2^(n-L-1). The root has at most n+1
-    choices, each other inner vertex two and each leaf one."""
-    return (n + 1) * 2 ** (n - leaf_count - 1)

@@ -190,10 +190,6 @@ class RootedTree:
     def is_leaf(self, v: int) -> bool:
         return v in self.leaves
 
-    @property
-    def leaf_count(self) -> int:
-        return len(self.leaves)
-
 
 def spanning_tree(g: Graph, root: int = 0) -> RootedTree:
     """Greedy leafy spanning tree rooted at `root`.

@@ -20,7 +20,7 @@ import shutil
 import time
 from dataclasses import dataclass
 
-from .assignments import segment_width
+from .assignments import root_choices, segment_width
 from .geometry import color_order
 from .graph import Graph, RootedTree, ordering_bandwidth
 
@@ -107,12 +107,14 @@ def c_decide(g: Graph, b: int, tree: RootedTree, max_states: int = DEFAULT_MAX_S
     kernel = c_kernel_for(g.n)
     if kernel is None:
         return None
+    if roots is None:
+        roots = root_choices(g.n, b)
     ints = ctypes.c_int * g.n
     pos, out = ints(), (ctypes.c_uint64 * 3)()
     code = kernel.bw_decide(
         g.n, b, (ctypes.c_uint64 * g.n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)),
         ints(*tree.preorder), ints(*(-1 if p is None else p for p in tree.parent)),
-        *((-1, g.n) if roots is None else (roots.start, roots.stop)),
+        roots.start, roots.stop,
         max(0, min(max_states, _U64_MAX)), deadline, stop, pos, out,
     )
     status = _C_STATUS[code]
@@ -315,8 +317,3 @@ def _compile_kernel(source: str, lib: str) -> bool:
             os.remove(tmp)
         return False
     return True
-
-
-def per_run_state_ceiling(n: int, leaf_count: int) -> int:
-    """Visited-state ceiling for one run: 3^(n-L) * 4^L."""
-    return 3 ** (n - leaf_count) * 4**leaf_count

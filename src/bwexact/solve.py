@@ -11,9 +11,8 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 
-from .assignments import enumerate_assignments
+from .assignments import enumerate_assignments, root_choices
 from .geometry import color_order  # noqa: F401 (perfbench/spans.py wraps solve.color_order)
-from .geometry import num_base_segments
 from .graph import (
     Graph,
     GraphError,
@@ -48,7 +47,8 @@ class Budget:
     def __post_init__(self) -> None:
         if type(self.max_states) is not int or self.max_states <= 0:  # bool is an int too
             raise ValueError("max_states must be a positive integer")
-        if self.max_seconds is not None and not (self.max_seconds > 0):  # NaN too
+        seconds = self.max_seconds
+        if seconds is not None and (type(seconds) is bool or not seconds > 0):  # NaN fails > 0
             raise ValueError("max_seconds must be a positive number")
 
     def deadline(self) -> float:
@@ -63,7 +63,6 @@ class DecideStats:
     runs: int = 0
     states_total: int = 0
     states_max_run: int = 0
-    leaf_count: int = 0
     kernel: str | None = None  # phase-2 kernel that ran: "c", "python", "mixed"
 
     def _add_kernel(self, kernel: str | None) -> None:
@@ -77,7 +76,6 @@ class DecideStats:
         self.runs += other.runs
         self.states_total += other.states_total
         self.states_max_run = max(self.states_max_run, other.states_max_run)
-        self.leaf_count = max(self.leaf_count, other.leaf_count)
         self._add_kernel(other.kernel)
 
     def to_dict(self) -> dict:
@@ -119,8 +117,8 @@ def decide(
     gains nothing from threads and runs serially whatever `workers`
     says. First witness wins; "no" means all accepted assignments were
     exhausted; "unknown" means a budget cap fired before either.
-    `deadline` is an absolute time.monotonic() instant; without one,
-    the budget's max_seconds counts from now.
+    `deadline` is an absolute time.monotonic() instant (NaN is refused);
+    without one, the budget's max_seconds counts from now.
     """
     _check_workers(workers)
     if g.n < 2:
@@ -130,9 +128,11 @@ def decide(
     if budget is None:
         budget = Budget()
     tree = spanning_tree(g, 0)  # raises on disconnected input
-    stats = DecideStats(leaf_count=tree.leaf_count)
+    stats = DecideStats()
     if deadline is None:
         deadline = budget.deadline()
+    elif math.isnan(deadline):  # no clock is ever past NaN, so the search would never stop
+        raise ValueError("deadline must not be NaN")
     kernel = c_kernel_for(g.n)
     if workers == 1 or kernel is None:
         status, pos, runs, states, max_run = walk(g, b, tree, None, budget.max_states, deadline)
@@ -143,7 +143,7 @@ def decide(
         stop = ctypes.c_int(0)  # set once the answer is known; every part then returns
         with ThreadPoolExecutor(workers) as pool:
             parts = pool.map(lambda c: walk(g, b, tree, range(c, c + 1), budget.max_states, deadline, stop),
-                             range(-1, num_base_segments(g.n, b)))
+                             root_choices(g.n, b))
             try:
                 status, pos, runs, states, max_run = _combine(parts, deadline)
             finally:

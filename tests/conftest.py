@@ -1,5 +1,7 @@
 """Shared test helpers: independent brute-force oracles kept deliberately
-dumb so they never share code paths with the solver."""
+dumb so they never share code paths with the solver, and the paper's
+counting bounds for one spanning tree, which acceptance criteria 3 and
+4 check the solver's counters against."""
 
 import itertools
 
@@ -19,6 +21,19 @@ def brute_bandwidth(g: Graph) -> int:
             if best == 0:
                 break
     return best
+
+
+def max_assignments(n: int, leaf_count: int) -> int:
+    """Ceiling on the assignments generated over a tree with `leaf_count`
+    leaves: (n+1) * 2^(n-L-1). The root has at most n+1 choices, each
+    other inner vertex two and each leaf one."""
+    return (n + 1) * 2 ** (n - leaf_count - 1)
+
+
+def per_run_state_ceiling(n: int, leaf_count: int) -> int:
+    """Visited-state ceiling for one run over a tree with `leaf_count`
+    leaves: 3^(n-L) * 4^L."""
+    return 3 ** (n - leaf_count) * 4**leaf_count
 
 
 def all_b_orderings(g: Graph, b: int) -> list[list[int]]:

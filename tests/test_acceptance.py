@@ -10,14 +10,19 @@ import time
 
 import pytest
 
-from conftest import all_b_orderings, all_labeled_trees, connected_graphs
+from conftest import (
+    all_b_orderings,
+    all_labeled_trees,
+    connected_graphs,
+    max_assignments,
+    per_run_state_ceiling,
+)
 from reference_search import consistency_witness, edge_filter
 
 from bwexact.analysis import McWeights, kappa_for, optimize_weights
-from bwexact.assignments import enumerate_assignments, max_assignments
+from bwexact.assignments import enumerate_assignments
 from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
 from bwexact.solve import decide, minimize_bandwidth, oracle_bandwidth
-from bwexact.search import per_run_state_ceiling
 
 
 def report(criterion, detail):
@@ -84,7 +89,7 @@ def test_criterion_3_phase1_counter():
             tree = spanning_tree(g, root)
             for b in range(1, g.n):
                 generated = sum(1 for _ in enumerate_assignments(Graph(g.n, []), tree, b))
-                assert generated <= max_assignments(g.n, tree.leaf_count)
+                assert generated <= max_assignments(g.n, len(tree.leaves))
                 instances += 1
     report(3, f"{instances} unpruned assignment streams, zero phase-1 counter violations")
 
@@ -95,7 +100,7 @@ def test_criterion_4_phase2_counters():
     for g in _counter_corpus():
         n = g.n
         tree = spanning_tree(g, 0)
-        ceiling = per_run_state_ceiling(n, tree.leaf_count)
+        ceiling = per_run_state_ceiling(n, len(tree.leaves))
         assert ceiling <= 4**n
         total_ceiling = 3 * (n + 1) * kappa**n
         for b in range(1, n):

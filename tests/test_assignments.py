@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import all_b_orderings, all_labeled_trees
+from conftest import all_b_orderings, all_labeled_trees, max_assignments
 from reference_search import consistency_witness, edge_filter, hi
 
-from bwexact.assignments import enumerate_assignments, max_assignments, segment_width
+from bwexact.assignments import enumerate_assignments, segment_width
 from bwexact.graph import Graph, RootedTree, generate, spanning_tree
 
 
@@ -54,7 +54,7 @@ class TestEnumerate:
         tree = spanning_tree(g, 0)
         for b in (1, 2, 3):
             count = sum(1 for _ in unpruned(tree, b))
-            assert count <= max_assignments(7, tree.leaf_count)
+            assert count <= max_assignments(7, len(tree.leaves))
 
     def test_no_empty_segments(self):
         g = generate("random_tree", 6, seed=3)

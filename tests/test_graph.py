@@ -126,7 +126,7 @@ class TestSpanningTree:
 
     def test_star(self):
         tree = spanning_tree(generate("star", 4), 0)
-        assert tree.leaf_count == 4 and tree.root == 0
+        assert len(tree.leaves) == 4 and tree.root == 0
 
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_search
-from conftest import all_b_orderings, connected_graphs
+from conftest import all_b_orderings, connected_graphs, per_run_state_ceiling
 from reference_search import (
     SearchState,
     bw_dfs,
@@ -29,8 +29,7 @@ from reference_search import (
     unpruned_dfs,
 )
 
-from bwexact.assignments import enumerate_assignments
-from bwexact.geometry import num_base_segments
+from bwexact.assignments import enumerate_assignments, root_choices
 from bwexact import search, solve
 from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
 from bwexact.solve import Budget, decide, minimize_bandwidth
@@ -43,7 +42,6 @@ from bwexact.search import (
     SearchStats,
     WitnessError,
     dfs_decide,
-    per_run_state_ceiling,
 )
 
 
@@ -169,7 +167,7 @@ class TestDfsDecide:
     def test_per_run_state_bound(self, seed):
         g = generate("random_gnp", 8, 0.35, seed=seed)
         tree = spanning_tree(g, 0)
-        ceiling = per_run_state_ceiling(8, tree.leaf_count)
+        ceiling = per_run_state_ceiling(8, len(tree.leaves))
         for b in (1, 2, 3):
             for lo in enumerate_assignments(g, tree, b):
                 _, _, stats = dfs_decide(SearchPlan(g, b, tree), lo)
@@ -419,7 +417,7 @@ class TestCompiledWalk:
         for g in acceptance_corpus():
             tree = spanning_tree(g, 0)
             for b in range(1, g.n):
-                roots = range(-1, num_base_segments(g.n, b))
+                roots = root_choices(g.n, b)
                 compiled = [search.c_decide(g, b, tree, roots=range(c, c + 1)) for c in roots]
                 with mock.patch.object(solve, "c_decide", lambda *args, **kwargs: None):
                     loop = [solve.walk(g, b, tree, range(c, c + 1), DEFAULT_MAX_STATES, math.inf) for c in roots]

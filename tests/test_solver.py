@@ -115,6 +115,11 @@ class TestDecide:
         assert (compiled.status, compiled.stats.runs, compiled.stats.states_total,
                 compiled.stats.kernel) == (UNKNOWN, 0, 0, None)
 
+    def test_rejects_nan_deadline(self):
+        # No clock reading is ever past NaN, so the search would never stop.
+        with pytest.raises(ValueError, match="NaN"):
+            decide(generate("path", 6), 1, deadline=float("nan"))
+
     def test_prune_matches_unpruned(self):
         # decide streams with the edge-distance prune on g: it must keep
         # exactly the assignments that pass edge_filter, in stream order.
@@ -181,9 +186,10 @@ class TestDecide:
             with pytest.raises(WitnessError, match="kernel bug"):
                 decide(generate("cycle", 6), 2, workers=2)
 
-    @pytest.mark.parametrize("seconds", [0, -1.0, float("nan")])
+    @pytest.mark.parametrize("seconds", [0, -1.0, float("nan"), True])
     def test_budget_rejects_non_positive_seconds(self, seconds):
-        # A NaN deadline would compare false forever, so no check would fire.
+        # A NaN deadline would compare false forever, so no check would
+        # fire; True, a bool, would pass as 1 s.
         with pytest.raises(ValueError, match="positive number"):
             Budget(max_seconds=seconds)
 
