@@ -287,13 +287,16 @@ def minimize_bandwidth(
     *,
     workers: int = 1,
 ) -> SolveResult:
-    """Exact bandwidth of g with a witness ordering.
+    """Exact bandwidth of g, the largest of its components', with a witness.
 
-    Components are solved independently (binary search on b per
-    component) and composed into consecutive position blocks, larger
-    components first. The budget's max_seconds bounds the whole solve:
-    every decide gets the same deadline. Each component's spanning
-    tree grows from its own vertex 0.
+    Every component's bounds come first; then one binary search on b
+    runs from the largest lower end to the largest upper end. Each b is
+    decided, larger components first, on the components whose upper
+    end is above it, up to the first answer that is not yes. Each
+    component keeps its narrowest ordering, in a block of consecutive
+    positions, larger components first. The budget's max_seconds bounds
+    the whole solve: every decide gets the same deadline. An UNKNOWN
+    ends the search with stats["bracket"] = [lo, hi].
     """
     _check_workers(workers)
     if budget is None:
@@ -301,55 +304,51 @@ def minimize_bandwidth(
     deadline = budget.deadline()
     comps = connected_components(g)
     comps.sort(key=lambda cm: (-cm[0].n, cm[1]))
+    widths, orders = [], []  # each component's upper end and its ordering
+    lo = hi = 0
+    for comp, _ in comps:
+        c_lo, c_hi, pos = bounds(comp, deadline) if comp.n > 1 else (0, 0, [1])
+        widths.append(c_hi)
+        orders.append(pos)
+        if c_lo > lo:
+            lo = c_lo
+        if c_hi > hi:
+            hi = c_hi
+    agg = DecideStats()
+    while lo < hi:
+        mid = (lo + hi - 1) // 2
+        answer = YES
+        for i, (comp, _) in enumerate(comps):
+            if widths[i] > mid:
+                res = decide(comp, mid, budget, workers=workers, deadline=deadline)
+                agg.merge(res.stats)
+                answer = res.status
+                if answer != YES:
+                    break
+                widths[i], orders[i] = mid, res.ordering
+        if answer == YES:
+            hi = mid
+        elif answer == NO:
+            lo = mid + 1
+        else:  # the components decided yes before this one are down to mid
+            hi = max(widths)
+            break
+    status = OPTIMAL if lo == hi else UNKNOWN
     final_pos = [0] * g.n
     offset = 0
-    best = 0
-    status = OPTIMAL
-    agg = DecideStats()
-    brackets = []
-    for comp, orig in comps:
-        width, pos, bracket = _solve_component(comp, budget, deadline, workers, agg)
-        if bracket is not None:
-            status = UNKNOWN
-            brackets.append({"component_size": comp.n, "bracket": bracket})
-        best = max(best, width)
+    for (comp, orig), pos in zip(comps, orders):
         for v, p in enumerate(pos):
             final_pos[orig[v]] = p + offset
         offset += comp.n
     stats = agg.to_dict()
     stats["components"] = len(comps)
-    if brackets:
-        stats["unknown_brackets"] = brackets
-    # An optimal witness has the bandwidth exactly; an unknown one, whose
-    # best is the upper end of a bracket, has at most that.
+    if status == UNKNOWN:
+        stats["bracket"] = [lo, hi]
+    # An optimal witness has the bandwidth exactly; an unknown one at most.
     width = ordering_bandwidth(g, final_pos)
-    if width > best or (status == OPTIMAL and width != best):
-        raise WitnessError(f"composed ordering has bandwidth {width}, not {best}")
-    return SolveResult(best, final_pos, status, stats)
-
-
-def _solve_component(
-    comp: Graph, budget: Budget, deadline: float, workers: int, agg: DecideStats,
-) -> tuple[int, list[int], list[int] | None]:
-    """(bandwidth, ordering, None) when the binary search certifies it;
-    (best found, its ordering, [lo, best]) when a decide answers UNKNOWN."""
-    if comp.n == 1:
-        return 0, [1], None
-    lo, best_b, best_pos = bounds(comp, deadline)
-    hi = best_b - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        res = decide(comp, mid, budget, workers=workers, deadline=deadline)
-        agg.merge(res.stats)
-        if res.status == YES:
-            best_b = mid
-            best_pos = res.ordering
-            hi = mid - 1
-        elif res.status == NO:
-            lo = mid + 1
-        else:
-            return best_b, best_pos, [lo, best_b]
-    return best_b, best_pos, None
+    if width > hi or (status == OPTIMAL and width != hi):
+        raise WitnessError(f"composed ordering has bandwidth {width}, not {hi}")
+    return SolveResult(hi, final_pos, status, stats)
 
 
 def oracle_bandwidth(g: Graph, limit: int = 10) -> SolveResult:

@@ -145,6 +145,13 @@ class TestSolve:
         assert sorted(pos) == [1, 2, 3, 4, 5]
         assert report["bandwidth"] == max(abs(pos[u] - pos[v]) for u, v in g.edges)
 
+    def test_unknown_reports_bracket(self, tmp_path, capsys):
+        path = write(tmp_path, "g9.g", generate("random_gnp", 9, 0.5, seed=3))
+        assert main(["solve", path, "--json", "--max-states", "2"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "unknown"
+        assert report["stats"]["bracket"][1] == report["bandwidth"]
+
     def test_json_report_roundtrips(self, tmp_path, capsys):
         path = write(tmp_path, "c5.g", generate("cycle", 5))
         main(["solve", path, "--json"])

@@ -50,6 +50,9 @@ class TestParse:
         ("2 2\n0 1", "m=2"),
         ("3 2\n0 1\n1 0", "line 3: repeated edge"),
         ("3 2\n0 1\n0 1", "line 3: repeated edge"),
+        ("a 1", "line 1: non-integer header"),
+        ("-1 0", "line 1: negative count"),
+        ("2 1\n0 1 1", "line 2: expected edge"),
     ])
     def test_errors_name_line(self, text, fragment):
         with pytest.raises(GraphError, match=fragment):
@@ -64,6 +67,14 @@ class TestGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
             Graph(2, [(0, 0)])
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(GraphError, match="non-negative"):
+            Graph(-1, [])
+
+    def test_rejects_edge_out_of_range(self):
+        with pytest.raises(GraphError, match="out of range"):
+            Graph(2, [(0, 5)])
 
     def test_deduplicates(self):
         g = Graph(2, [(0, 1), (1, 0)])

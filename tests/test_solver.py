@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from reference_search import edge_filter
 import bwexact
 from bwexact import search, solve
 from bwexact.assignments import enumerate_assignments
-from bwexact.graph import Graph, GraphError, generate, ordering_bandwidth, spanning_tree
+from bwexact.graph import Graph, GraphError, connected_components, generate, ordering_bandwidth, spanning_tree
 from bwexact.search import WitnessError
 from bwexact.solve import (
     Budget,
@@ -92,6 +93,8 @@ class TestDecide:
             decide(generate("path", 4), 0)
         with pytest.raises(GraphError):
             decide(generate("path", 4), 4)
+        with pytest.raises(GraphError, match="n >= 2"):
+            decide(Graph(1, []), 1)
 
     @pytest.mark.parametrize("n, p, kernel", [(12, 0.3, "c"), (25, 0.2, "python")])
     def test_rejects_non_integer_b(self, n, p, kernel):
@@ -276,6 +279,42 @@ class TestDecide:
         assert agg.kernel == "mixed"
 
 
+def disjoint_union(*parts: Graph) -> Graph:
+    """The parts side by side, each one's vertices after the last part's."""
+    edges, offset = [], 0
+    for h in parts:
+        edges += [(u + offset, v + offset) for u, v in h.edges]
+        offset += h.n
+    return Graph(offset, edges)
+
+
+def small_unions():
+    """An edge, a triangle and an edge, then seeded unions of two or
+    three connected graphs, n <= 10 in all: graphs from
+    connected_graphs(n <= 4), G(n, 0.4) and random trees. The last two
+    are a union whose smaller component is never searched, and one
+    whose later component answers no."""
+    small = {n: list(connected_graphs(n)) for n in range(1, 5)}
+    yield Graph(7, [(0, 1), (2, 3), (3, 4), (2, 4), (5, 6)])
+    for seed in range(300):
+        rng = random.Random(seed)
+        count = rng.choice((2, 3))
+        parts, room = [], 10
+        for i in range(count):
+            n = rng.randint(1, min(7, room - (count - 1 - i)))
+            room -= n
+            family = rng.choice(("random_gnp", "random_tree") + (("small",) if n <= 4 else ()))
+            if n < 3 or family == "small":
+                parts.append(rng.choice(small[n]))
+            elif family == "random_gnp":
+                parts.append(generate(family, n, 0.4, seed=seed))
+            else:
+                parts.append(generate(family, n, seed=seed))
+        yield disjoint_union(*parts)
+    yield disjoint_union(generate("complete", 4), generate("random_tree", 5, seed=2))
+    yield disjoint_union(generate("random_tree", 5, seed=2), generate("random_gnp", 5, 0.4, seed=19))
+
+
 class TestMinimize:
     def test_known_small(self):
         assert minimize_bandwidth(generate("complete", 4)).bandwidth == 3
@@ -325,21 +364,67 @@ class TestMinimize:
         assert time.monotonic() - start < 0.8
         assert res.status == UNKNOWN
 
-    def test_disconnected_composition(self):
-        g = Graph(7, [(0, 1), (2, 3), (3, 4), (2, 4), (5, 6)])
-        res = minimize_bandwidth(g)
-        assert res.status == OPTIMAL
-        assert res.bandwidth == oracle_bandwidth(g).bandwidth
-        assert ordering_bandwidth(g, res.ordering) == res.bandwidth
-        # Blocks are contiguous, larger components first.
-        triangle_positions = sorted(res.ordering[v] for v in (2, 3, 4))
-        assert triangle_positions == [1, 2, 3]
+    def test_disconnected_composition(self, monkeypatch):
+        rounds = []
+        real_decide = solve.decide
+
+        def recording_decide(g, b, *args, **kwargs):
+            assert bounds(g)[1] > b  # a component already within b is not searched
+            res = real_decide(g, b, *args, **kwargs)
+            rounds[-1].append((g.n, b, res.status))
+            return res
+
+        monkeypatch.setattr(solve, "decide", recording_decide)
+        for g in small_unions():
+            rounds.append([])
+            res = minimize_bandwidth(g)
+            assert res.status == OPTIMAL
+            assert res.bandwidth == oracle_bandwidth(g).bandwidth
+            assert ordering_bandwidth(g, res.ordering) == res.bandwidth
+            # Blocks are contiguous, larger components first.
+            blocks = sorted(sorted(res.ordering[v] for v in orig) for _, orig in connected_components(g))
+            assert [p for block in blocks for p in block] == list(range(1, g.n + 1))
+            assert [len(block) for block in blocks] == sorted(map(len, blocks), reverse=True)
+        # The tree's bounds leave [2, 3], but K4's lower end is 3: no decide.
+        assert rounds[-2] == []
+        # Both bounds leave [2, 3]: the tree (first of equal sizes) says
+        # yes at b = 2, then the G(5, 0.4) says no, which settles b = 3.
+        assert rounds[-1] == [(5, 2, YES), (5, 2, NO)]
+
+    def test_component_bounds_come_before_any_search(self):
+        # One BFS of K7 proves 6, above the tree's upper end of 4, so no
+        # decide runs. A search per component spent the whole budget on
+        # the tree's decide at b = 3 and answered unknown.
+        g = disjoint_union(generate("complete", 7), generate("random_tree", 24, seed=1))
+        start = time.monotonic()
+        res = minimize_bandwidth(g, Budget(max_seconds=2))
+        assert time.monotonic() - start < 1
+        assert (res.status, res.bandwidth, res.stats["runs"]) == (OPTIMAL, 6, 0)
 
     def test_unknown_propagates(self):
         g = generate("random_gnp", 9, 0.5, seed=3)
         res = minimize_bandwidth(g, Budget(max_states=2))
         assert res.status == UNKNOWN
-        assert "unknown_brackets" in res.stats
+        assert "unknown_brackets" not in res.stats
+        lo, hi = res.stats["bracket"]
+        assert lo <= oracle_bandwidth(g).bandwidth <= hi == res.bandwidth
+
+    def test_unknown_after_a_yes_narrows_bracket(self, monkeypatch):
+        # bounds give [3, 5] on the caterpillar and [3, 4] on the G(6, 0.4).
+        # At b = 3 the caterpillar says yes and the G(6, 0.4) unknown, so
+        # the widest ordering left, and the bracket's upper end, is 4.
+        real_decide = solve.decide
+
+        def unknown_on_smaller(g, b, *args, **kwargs):
+            if g.n == 6:
+                return DecideResult(UNKNOWN, None, DecideStats())
+            return real_decide(g, b, *args, **kwargs)
+
+        monkeypatch.setattr(solve, "decide", unknown_on_smaller)
+        g = disjoint_union(generate("caterpillar", 3, 4, seed=16), generate("random_gnp", 6, 0.4, seed=35))
+        res = minimize_bandwidth(g)
+        assert (res.status, res.bandwidth, res.stats["bracket"]) == (UNKNOWN, 4, [3, 4])
+        assert ordering_bandwidth(g, res.ordering) == 4
 
     def test_bad_witness_raises(self, monkeypatch):
         # bounds gives [3, 4], so the solve asks decide at b = 3, which
@@ -386,9 +471,7 @@ class TestMinimize:
 
         monkeypatch.setattr(solve, "decide", counting_decide)
         monkeypatch.setattr(solve, "c_decide", recording_c_decide)
-        a = generate("random_gnp", 10, 0.3, seed=0)
-        b = generate("random_gnp", 10, 0.3, seed=1)
-        g = Graph(20, list(a.edges) + [(u + 10, v + 10) for u, v in b.edges])
+        g = disjoint_union(generate("random_gnp", 10, 0.3, seed=0), generate("random_gnp", 10, 0.3, seed=1))
         start = time.monotonic()
         res = minimize_bandwidth(g, Budget(max_seconds=60))
         assert res.status == OPTIMAL
@@ -472,8 +555,8 @@ class TestLowerBound:
         res = minimize_bandwidth(generate("random_tree", 2000, seed=0), Budget(max_seconds=0.3))
         assert time.monotonic() - start < 0.8
         assert res.status == UNKNOWN
-        (unknown,) = res.stats["unknown_brackets"]
-        assert unknown["bracket"] == [4, res.bandwidth]
+        assert "unknown_brackets" not in res.stats
+        assert res.stats["bracket"] == [4, res.bandwidth]
 
 
 def oracle_corpus():
