@@ -3,20 +3,20 @@
  * part of it under a range of root choices. Python calls bw_decide
  * only; bw_dfs stays exported so that the tests can check it run by run.
  *
- * bw_dfs runs the same search as the Python loop in search.py, in the
- * same order, so it visits the same states and returns the same
- * witness. A state is a set of vertices, each mapped to a base segment.
- * Vertex v may take base segment t when t lies in its segment and every
- * assigned neighbour holds t or t+1: the Hall masks ok[s] kept per depth
- * state exactly that (see hall), so the candidates at a step with base
+ * bw_dfs runs the same search as dfs_decide in search.py, in the same
+ * order, so it visits the same states and returns the same witness. A
+ * state is a set of vertices, each mapped to a base segment. Vertex v
+ * may take base segment t when t lies in its segment and every assigned
+ * neighbour holds t or t+1: the Hall masks ok[s] kept per depth state
+ * exactly that (see hall), so the candidates at a step with base
  * segment t are the vertices of ok[t]. A candidate with an unassigned
  * neighbour whose segment starts after t is skipped by a cheap
  * pre-check, since hall drops that child too. A child state is dropped,
  * before it is counted or stored, when some window of base segments has
  * fewer steps left than unassigned vertices that can only go there. The
- * visited set is an open-addressing table of the packed
- * 3-bit-per-vertex keys, so n is at most MAXN = 21. Python reads the
- * limit from bw_maxn, so MAXN is its only copy.
+ * visited set is an open-addressing table of the packed 3-bit-per-vertex
+ * keys, so n is at most MAXN, the 3-bit fields a uint64_t holds. Python
+ * reads the limit from bw_maxn, so MAXN is its only copy.
  *
  * Both functions take a stop flag, `stop`, next to the deadline: when
  * it is not NULL and *stop is nonzero, they stop as if the deadline had

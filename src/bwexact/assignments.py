@@ -8,9 +8,9 @@ lo[v] being the first base segment of v's segment; the widths follow
 from the tree. The stream is lazy, one assignment at a time in
 polynomial space. The root's choice is the outermost loop, so the
 stream falls into parts, one per root lo from -1 up; a parallel decide
-shares them out. A decide with n <= MAXN walks the stream, or a part,
-in the compiled kernel (bw_decide in _kernel.c) instead; this
-generator feeds the Python loop, and the tests.
+shares them out. Where solve.walk hands a part to the compiled kernel
+(bw_decide in _kernel.c), the kernel walks it itself; this generator
+feeds the Python loop, and the tests.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ its 1-based offset inside its base segment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def segment_of(p: int, b: int) -> int:
@@ -26,19 +25,7 @@ def num_base_segments(n: int, b: int) -> int:
     return math.ceil(n / (b + 1))
 
 
-@dataclass(frozen=True)
-class ColorOrder:
-    """Positions 1..n sorted by (color, base segment).
-
-    step_base_segment[k] is the base-segment index of the (k+1)-th
-    position in the order; the state search fills positions in exactly
-    this order.
-    """
-
-    sequence: tuple[int, ...]
-    step_base_segment: tuple[int, ...]
-
-
-def color_order(n: int, b: int) -> ColorOrder:
-    seq = sorted(range(1, n + 1), key=lambda p: (color_of(p, b), segment_of(p, b)))
-    return ColorOrder(tuple(seq), tuple(segment_of(p, b) for p in seq))
+def color_order(n: int, b: int) -> tuple[int, ...]:
+    """Positions 1..n sorted by (color, base segment): the state search
+    fills positions in exactly this order."""
+    return tuple(sorted(range(1, n + 1), key=lambda p: (color_of(p, b), segment_of(p, b))))

@@ -20,8 +20,8 @@ import shutil
 import time
 from dataclasses import dataclass
 
-from .assignments import root_choices, segment_width
-from .geometry import color_order
+from .assignments import segment_width
+from .geometry import color_order, segment_of
 from .graph import Graph, RootedTree, ordering_bandwidth
 
 DEFAULT_MAX_STATES = 1 << 26
@@ -42,20 +42,20 @@ class SearchStats:
 
 
 class SearchPlan:
-    """The phase-2 inputs that depend only on the graph, b and the
-    spanning tree, shared by every run over the same three: solve.walk
-    builds one per part, and the runs only read it.
+    """The inputs of dfs_decide that depend only on the graph, b and the
+    spanning tree, shared by every run over the same three (see
+    solve.walk); the runs only read it.
 
-    step[d] is the base segment filled at depth d, width[v] the width of
-    v's segment, adj[v] v's neighbours as a bitmask, and slots[d][s] the
-    number of steps at depth >= d with base segment s (each row ends in
-    an extra 0).
+    order[d] is the position filled at depth d (geometry.color_order),
+    step[d] its base segment, width[v] the width of v's segment, adj[v]
+    v's neighbours as a bitmask, and slots[d][s] the number of steps at
+    depth >= d with base segment s (each row ends in an extra 0).
     """
 
     def __init__(self, g: Graph, b: int, tree: RootedTree) -> None:
         self.g, self.b, self.tree = g, b, tree
-        self.corder = color_order(g.n, b)
-        self.step = self.corder.step_base_segment
+        self.order = color_order(g.n, b)
+        self.step = [segment_of(p, b) for p in self.order]
         self.width = [segment_width(tree, v) for v in range(g.n)]
         self.adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
         rows = [[0] * (max(self.step, default=-1) + 2)]
@@ -77,72 +77,16 @@ def dfs_decide(
 
     Returns (YES, ordering, stats) on success, (NO, None, stats) when
     the state space is exhausted, or (UNKNOWN, None, stats) when a
-    resource cap fires. The visited set belongs to this run only.
+    budget cap fires or memory runs out. The visited set belongs to this
+    run only. Raises WitnessError rather than return an ordering that
+    fails the bandwidth check.
 
-    The Python loop, run where c_decide cannot be; it visits bw_dfs's
-    states in bw_dfs's order. Raises WitnessError rather than return an
-    ordering that fails the bandwidth check.
+    This is bw_dfs's loop in Python: the same states in the same order,
+    keyed by 3 bits per vertex, 0 for unassigned, else 1 + the offset of
+    its base segment inside its segment. The candidates at a step with
+    base segment t are the unassigned vertices of the Hall mask ok[t]
+    (see _hall_child), lowest first.
     """
-    status, path, stats = _dfs_python(plan, lo, max_states, deadline)
-    if status != YES:
-        return status, None, stats
-    pos = [0] * plan.g.n
-    for k, v in enumerate(path):
-        pos[v] = plan.corder.sequence[k]
-    return YES, _checked(plan.g, plan.b, pos, "python"), stats
-
-
-def c_decide(g: Graph, b: int, tree: RootedTree, max_states: int = DEFAULT_MAX_STATES,
-             deadline: float = math.inf, roots: range | None = None,
-             stop: ctypes.c_int | None = None) -> tuple | None:
-    """One compiled call: the runs of dfs_decide over
-    enumerate_assignments(g, tree, b, roots) (every root choice if
-    roots is None), under the rules of solve.decide. None when
-    c_kernel_for(n) is, else (status, checked ordering or None, runs,
-    states_total, states_max_run). The kernel reads `stop` wherever it
-    reads the clock, and once another thread sets it to 1 the call
-    answers UNKNOWN as if the deadline had passed."""
-    if not (1 <= b < g.n and tree.n == g.n):
-        raise ValueError(f"c_decide requires 1 <= b < n and a spanning tree, got b={b}, n={g.n}")
-    kernel = c_kernel_for(g.n)
-    if kernel is None:
-        return None
-    if roots is None:
-        roots = root_choices(g.n, b)
-    ints = ctypes.c_int * g.n
-    pos, out = ints(), (ctypes.c_uint64 * 3)()
-    code = kernel.bw_decide(
-        g.n, b, (ctypes.c_uint64 * g.n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)),
-        ints(*tree.preorder), ints(*(-1 if p is None else p for p in tree.parent)),
-        roots.start, roots.stop,
-        max(0, min(max_states, _U64_MAX)), deadline, stop, pos, out,
-    )
-    status = _C_STATUS[code]
-    return status, _checked(g, b, pos[:], "c") if status == YES else None, out[0], out[1], out[2]
-
-
-def c_kernel_for(n: int):
-    """The compiled kernel when it loads and 1 <= n <= its MAXN, else
-    None: whether a decide on n vertices runs in C."""
-    kernel = _c_kernel()
-    return kernel if kernel is not None and 0 < n <= kernel.maxn else None
-
-
-def _checked(g: Graph, b: int, pos: list[int], kernel: str) -> list[int]:
-    """pos, which a kernel found; WitnessError if its bandwidth is over b."""
-    if ordering_bandwidth(g, pos) > b:
-        raise WitnessError(f"{kernel} kernel returned an ordering of bandwidth > {b}")
-    return pos
-
-
-def _dfs_python(plan, lo, max_states, deadline):
-    """The reference kernel, bw_dfs's loop in Python: the same states in
-    the same order, keyed by 3 bits per vertex, 0 for unassigned, else
-    1 + the offset of its base segment inside its segment. The
-    candidates at a step with base segment t are the unassigned vertices
-    of the Hall mask ok[t] (see _hall_child), lowest first. Returns
-    (status, path, stats), path[d] being the vertex placed at step d. A
-    budget cap, or running out of memory, ends the run as UNKNOWN."""
     stats = SearchStats(states_visited=1)
     if time.monotonic() > deadline:
         return UNKNOWN, None, stats
@@ -157,7 +101,7 @@ def _dfs_python(plan, lo, max_states, deadline):
         seen |= m
         late.append(~seen)
     unplaced = (1 << n) - 1
-    path: list[int] = []
+    path: list[int] = []  # path[d]: the vertex placed at step d
     visited = {0}
     stack = [[0, ok, ok[step[0]]]]  # per depth: key, Hall masks, untried candidates
     try:
@@ -184,7 +128,10 @@ def _dfs_python(plan, lo, max_states, deadline):
                 stats.states_visited += 1
                 path.append(v)
                 if depth + 1 == n:
-                    return YES, path, stats
+                    pos = [0] * n
+                    for p, u in zip(plan.order, path):
+                        pos[u] = p
+                    return YES, _checked(plan.g, plan.b, pos, "python"), stats
                 if time.monotonic() > deadline:
                     return UNKNOWN, None, stats
                 top[2], unplaced = rem, rest
@@ -197,6 +144,45 @@ def _dfs_python(plan, lo, max_states, deadline):
     except MemoryError:
         return UNKNOWN, None, stats
     return NO, None, stats
+
+
+def c_decide(g: Graph, b: int, tree: RootedTree, roots: range, max_states: int = DEFAULT_MAX_STATES,
+             deadline: float = math.inf, stop: ctypes.c_int | None = None) -> tuple:
+    """solve.walk's part over the root choices in `roots`, in one
+    compiled call: (status, checked ordering or None, runs,
+    states_total, states_max_run). The kernel reads `stop` wherever it
+    reads the clock, and once another thread sets it to 1 the call
+    answers UNKNOWN as if the deadline had passed. Raises ValueError
+    when c_kernel_for(n) gives no kernel (its arrays hold MAXN
+    vertices), when b is not in 1..n-1, or when tree does not span g."""
+    kernel = c_kernel_for(g.n)
+    if kernel is None or not (1 <= b < g.n and tree.n == g.n):
+        raise ValueError(f"c_decide requires the compiled kernel for n, 1 <= b < n and a spanning tree, "
+                         f"got b={b}, n={g.n}")
+    ints = ctypes.c_int * g.n
+    pos, out = ints(), (ctypes.c_uint64 * 3)()
+    code = kernel.bw_decide(
+        g.n, b, (ctypes.c_uint64 * g.n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)),
+        ints(*tree.preorder), ints(*(-1 if p is None else p for p in tree.parent)),
+        roots.start, roots.stop,
+        max(0, min(max_states, _U64_MAX)), deadline, stop, pos, out,
+    )
+    status = _C_STATUS[code]
+    return status, _checked(g, b, pos[:], "c") if status == YES else None, out[0], out[1], out[2]
+
+
+def c_kernel_for(n: int):
+    """The compiled kernel when it loads and 1 <= n <= its MAXN, else
+    None: the one test of whether a decide on n vertices runs in C."""
+    kernel = _c_kernel()
+    return kernel if kernel is not None and 0 < n <= kernel.maxn else None
+
+
+def _checked(g: Graph, b: int, pos: list[int], kernel: str) -> list[int]:
+    """pos, which a kernel found; WitnessError if its bandwidth is over b."""
+    if ordering_bandwidth(g, pos) > b:
+        raise WitnessError(f"{kernel} kernel returned an ordering of bandwidth > {b}")
+    return pos
 
 
 def _hall_child(ok, unplaced, nbrs, t, slots):

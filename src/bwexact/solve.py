@@ -113,10 +113,10 @@ def decide(
     each at a time (a compiled call releases the GIL), and the parts
     are taken back in stream order, so the answer, witness and counters
     are the same; once the answer is known, a stop flag ends the parts
-    still running. The Python kernel (n above MAXN, or no compiler)
-    gains nothing from threads and runs serially whatever `workers`
-    says. First witness wins; "no" means all accepted assignments were
-    exhausted; "unknown" means a budget cap fired before either.
+    still running. The Python loop (see walk) gains nothing from
+    threads and runs serially whatever `workers` says. First witness
+    wins; "no" means all accepted assignments were exhausted; "unknown"
+    means a budget cap fired before either.
     `deadline` is an absolute time.monotonic() instant (NaN is refused);
     without one, the budget's max_seconds counts from now.
     """
@@ -134,8 +134,9 @@ def decide(
     elif math.isnan(deadline):  # no clock is ever past NaN, so the search would never stop
         raise ValueError("deadline must not be NaN")
     kernel = c_kernel_for(g.n)
+    roots = root_choices(g.n, b)
     if workers == 1 or kernel is None:
-        status, pos, runs, states, max_run = walk(g, b, tree, None, budget.max_states, deadline)
+        status, pos, runs, states, max_run = walk(g, b, tree, roots, budget.max_states, deadline)
     else:
         # Only a parallel decide needs it; it loads logging, which the package import need not.
         from concurrent.futures import ThreadPoolExecutor
@@ -143,7 +144,7 @@ def decide(
         stop = ctypes.c_int(0)  # set once the answer is known; every part then returns
         with ThreadPoolExecutor(workers) as pool:
             parts = pool.map(lambda c: walk(g, b, tree, range(c, c + 1), budget.max_states, deadline, stop),
-                             root_choices(g.n, b))
+                             roots)
             try:
                 status, pos, runs, states, max_run = _combine(parts, deadline)
             finally:
@@ -161,22 +162,20 @@ def _check_workers(workers) -> None:
         raise ValueError("workers must be a positive integer")
 
 
-def walk(g: Graph, b: int, tree: RootedTree, roots: range | None, max_states: int,
+def walk(g: Graph, b: int, tree: RootedTree, roots: range, max_states: int,
          deadline: float, stop: ctypes.c_int | None = None) -> tuple:
-    """The part of decide's stream whose root lo lies in `roots` (all of
-    it if None): (status, ordering or None, runs, states, largest run's
-    states), as _combine folds its runs. One compiled call (c_decide,
-    None when c_kernel_for(n) is), else the Python loop of dfs_decide
-    over enumerate_assignments, its runs sharing one SearchPlan; decide
-    reads c_kernel_for(n) once to choose threads and name the kernel.
-    Past the deadline it answers UNKNOWN after 0 runs, on either kernel.
-    `stop` goes to the compiled call (see c_decide); the Python loop has
-    no stop flag."""
+    """The part of decide's stream whose root lo lies in `roots`:
+    (status, ordering or None, runs, states, largest run's states), as
+    _combine folds its runs. This is the one hand-off to phase 2: when
+    c_kernel_for(n) gives the compiled kernel, the part is one c_decide
+    call, which takes `stop`; otherwise it is the Python loop, one
+    dfs_decide per assignment of enumerate_assignments, every run
+    reading one SearchPlan, and with no stop flag. Past the deadline it
+    answers UNKNOWN after 0 runs, on either kernel."""
     if time.monotonic() > deadline:
         return UNKNOWN, None, 0, 0, 0
-    found = c_decide(g, b, tree, max_states=max_states, deadline=deadline, roots=roots, stop=stop)
-    if found is not None:
-        return found
+    if c_kernel_for(g.n) is not None:
+        return c_decide(g, b, tree, roots, max_states=max_states, deadline=deadline, stop=stop)
     plan = SearchPlan(g, b, tree)
     runs = (dfs_decide(plan, lo, max_states=max_states, deadline=deadline)
             for lo in enumerate_assignments(g, tree, b, roots))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from bwexact import search
 from bwexact.assignments import segment_width
-from bwexact.geometry import color_order
+from bwexact.geometry import color_order, segment_of
 from bwexact.graph import Graph, RootedTree
 from bwexact.search import DEFAULT_MAX_STATES, YES, SearchStats
 
@@ -123,14 +123,14 @@ def unpruned_dfs(
 ) -> tuple[bool, list[int] | None, int]:
     """(found, ordering, states visited with the root) of the unpruned
     search; the ordering maps vertex -> position."""
-    sequence = color_order(g.n, b)
+    order = color_order(g.n, b)
     visited = {encode_state(SearchState.empty(g.n), lo)}
     path: list[int] = []
 
     def visit(s: SearchState, depth: int) -> bool:
         if depth == g.n:
             return True
-        t = sequence.step_base_segment[depth]
+        t = segment_of(order[depth], b)
         for v in extend_candidates(s, lo, tree, g, t):
             child = extend(s, v, t)
             key = encode_state(child, lo)
@@ -147,7 +147,7 @@ def unpruned_dfs(
         return False, None, len(visited)
     pos = [0] * g.n
     for k, v in enumerate(path):
-        pos[v] = sequence.sequence[k]
+        pos[v] = order[k]
     return True, pos, len(visited)
 
 
@@ -165,10 +165,10 @@ def compiled_dfs(
     status, path, stats = _dfs_c(g, b, tree, lo, max_states, deadline)
     if status != YES:
         return status, None, stats
-    sequence = color_order(g.n, b).sequence
+    order = color_order(g.n, b)
     pos = [0] * g.n
     for k, v in enumerate(path):
-        pos[v] = sequence[k]
+        pos[v] = order[k]
     return YES, search._checked(g, b, pos, "c"), stats
 
 
@@ -192,7 +192,8 @@ def _dfs_c(g, b, tree, lo, max_states, deadline, stop=None):
     path, states = ints(), ctypes.c_uint64()
     code = bw_dfs()(
         n, (ctypes.c_uint64 * n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)), ints(*lo),
-        ints(*(segment_width(tree, v) for v in range(n))), ints(*color_order(n, b).step_base_segment),
+        ints(*(segment_width(tree, v) for v in range(n))),
+        ints(*(segment_of(p, b) for p in color_order(n, b))),
         max(0, min(max_states, (1 << 64) - 1)), deadline, stop, path, ctypes.byref(states),
     )
     status = search._C_STATUS[code]

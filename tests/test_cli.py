@@ -52,7 +52,7 @@ class TestDecide:
         def crash(*args, **kwargs):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(solve, "c_decide", crash)
+        monkeypatch.setattr(solve, "walk", crash)
         path = write(tmp_path, "p4.g", generate("path", 4))
         assert main(["decide", path, "--b", "1"]) == 3
         assert "internal failure" in capsys.readouterr().err

@@ -51,29 +51,27 @@ class TestColorOf:
 
 class TestColorOrder:
     def test_reference_layout(self):
-        assert list(color_order(14, 3).sequence) == [
+        assert list(color_order(14, 3)) == [
             1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 4, 8, 12,
         ]
 
     def test_single_segment(self):
-        assert list(color_order(3, 3).sequence) == [1, 2, 3]
+        assert list(color_order(3, 3)) == [1, 2, 3]
 
     def test_b1(self):
-        assert list(color_order(5, 1).sequence) == [1, 3, 5, 2, 4]
+        assert list(color_order(5, 1)) == [1, 3, 5, 2, 4]
 
     @given(st.integers(1, 60), st.integers(1, 8))
     def test_bijection(self, n, b):
-        co = color_order(n, b)
-        assert sorted(co.sequence) == list(range(1, n + 1))
+        assert sorted(color_order(n, b)) == list(range(1, n + 1))
 
     @given(st.integers(1, 60), st.integers(1, 8))
     def test_step_segments(self, n, b):
-        co = color_order(n, b)
-        assert all(
-            co.step_base_segment[k] == segment_of(p, b)
-            for k, p in enumerate(co.sequence)
-        )
-        assert all(0 <= t < num_base_segments(n, b) for t in co.step_base_segment)
+        # The step of position p fills base segment segment_of(p, b):
+        # each step's segment exists, and within a color they rise.
+        steps = [(color_of(p, b), segment_of(p, b)) for p in color_order(n, b)]
+        assert steps == sorted(steps)
+        assert all(0 <= t < num_base_segments(n, b) for _, t in steps)
 
 
 class TestSegment:

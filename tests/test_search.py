@@ -192,9 +192,9 @@ class TestDfsDecide:
                     assert consistency_witness(lo, tree, b, pos)
 
     def test_one_plan_per_decide(self, monkeypatch):
-        # Plans serve the loop over enumerate_assignments, which a serial
-        # decide takes when the compiled walk is not there.
-        monkeypatch.setattr(solve, "c_decide", lambda *args, **kwargs: None)
+        # Plans serve the loop over enumerate_assignments, which walk
+        # takes when c_kernel_for gives no compiled kernel.
+        monkeypatch.setattr(solve, "c_kernel_for", lambda n: None)
         built = []
 
         class CountingPlan(search.SearchPlan):
@@ -204,8 +204,8 @@ class TestDfsDecide:
 
         monkeypatch.setattr(solve, "SearchPlan", CountingPlan)
         res = decide(generate("random_gnp", 10, 0.4, seed=2), 3)
+        assert (res.stats.kernel, len(built)) == ("python", 1)
         assert res.stats.runs > 1
-        assert len(built) == 1
 
     def test_interleaved_trees_get_their_own_plan(self):
         # Runs over two spanning trees of one graph, in mixed order, each
@@ -357,23 +357,25 @@ class TestKernelEquivalence:
 
 
 def loop_decide(g, b, budget=None, deadline=None):
-    """decide without the compiled walk: the loop over
-    enumerate_assignments, each run on the compiled kernel."""
+    """decide without the compiled walk: the Python loop over
+    enumerate_assignments, each run on the compiled kernel's bw_dfs."""
     def compiled_plan_dfs(plan, lo, **kw):
         return compiled_dfs(plan.g, plan.b, plan.tree, lo, **kw)
 
-    with mock.patch.object(solve, "c_decide", lambda *args, **kwargs: None), \
+    with mock.patch.object(solve, "c_kernel_for", lambda n: None), \
             mock.patch.object(solve, "dfs_decide", compiled_plan_dfs):
         return decide(g, b, budget, deadline=deadline)
 
 
 def assert_walk_matches_loop(g, b, budget=None, deadline=None):
-    """The compiled walk gives the loop's answer, witness and counters;
-    returns its result."""
-    assert search.c_decide(g, b, spanning_tree(g, 0), max_states=1) is not None
+    """The compiled walk gives the loop's answer, witness and counters,
+    each decide naming the walk it took; returns its result."""
+    assert search.c_kernel_for(g.n) is not None
     walk, loop = decide(g, b, budget, deadline=deadline), loop_decide(g, b, budget, deadline)
     assert (walk.status, walk.ordering) == (loop.status, loop.ordering), (g, b)
-    assert walk.stats.to_dict() == loop.stats.to_dict(), (g, b)
+    kernels = ("c", "python") if walk.stats.runs else (None, None)
+    assert (walk.stats.kernel, loop.stats.kernel) == kernels, (g, b)
+    assert {**walk.stats.to_dict(), "kernel": None} == {**loop.stats.to_dict(), "kernel": None}, (g, b)
     return walk
 
 
@@ -403,9 +405,9 @@ class TestCompiledWalk:
         # Unstopped, this walk is a "no" after 28,280 runs; with the flag
         # set, its first run stops at the root and so does the walk.
         g = generate("random_tree", 20)
-        tree = spanning_tree(g, 0)
-        assert search.c_decide(g, 2, tree, stop=ctypes.c_int(0))[:3] == (NO, None, 28_280)
-        status, pos, runs, states, _ = search.c_decide(g, 2, tree, stop=ctypes.c_int(1))
+        tree, roots = spanning_tree(g, 0), root_choices(g.n, 2)
+        assert search.c_decide(g, 2, tree, roots, stop=ctypes.c_int(0))[:3] == (NO, None, 28_280)
+        status, pos, runs, states, _ = search.c_decide(g, 2, tree, roots, stop=ctypes.c_int(1))
         assert (status, pos) == (UNKNOWN, None)
         assert runs <= 1 and states <= 1
 
@@ -418,11 +420,11 @@ class TestCompiledWalk:
             tree = spanning_tree(g, 0)
             for b in range(1, g.n):
                 roots = root_choices(g.n, b)
-                compiled = [search.c_decide(g, b, tree, roots=range(c, c + 1)) for c in roots]
-                with mock.patch.object(solve, "c_decide", lambda *args, **kwargs: None):
+                compiled = [search.c_decide(g, b, tree, range(c, c + 1)) for c in roots]
+                with mock.patch.object(solve, "c_kernel_for", lambda n: None):
                     loop = [solve.walk(g, b, tree, range(c, c + 1), DEFAULT_MAX_STATES, math.inf) for c in roots]
                 assert compiled == loop, (g, b)
-                assert solve._combine(compiled, math.inf) == search.c_decide(g, b, tree), (g, b)
+                assert solve._combine(compiled, math.inf) == search.c_decide(g, b, tree, roots), (g, b)
                 parts += len(roots)
         assert parts == 12_925
 
@@ -431,7 +433,7 @@ class TestCompiledWalk:
         # The walk divides by b + 1 and steps positions by it.
         g = generate("path", 5)
         with pytest.raises(ValueError):
-            search.c_decide(g, b, spanning_tree(g, 0))
+            search.c_decide(g, b, spanning_tree(g, 0), range(-1, 1))
 
 
 @pytest.mark.usefixtures("compiled_kernel")
@@ -519,12 +521,15 @@ def source_maxn():
 
 class TestKernelFallback:
     def test_above_max_n_runs_python(self):
+        # The compiled call refuses n above MAXN, which its arrays cannot
+        # hold; the Python loop takes it.
         n = source_maxn() + 1
         g = generate("path", n)
         tree = spanning_tree(g, 0)
         lo = next(enumerate_assignments(g, tree, 1))
         status, pos, stats = dfs_decide(SearchPlan(g, 1, tree), lo)
-        assert search.c_decide(g, 1, tree) is None
+        with pytest.raises(ValueError):
+            search.c_decide(g, 1, tree, root_choices(n, 1))
         assert status in (YES, NO)
         if status == YES:
             assert ordering_bandwidth(g, pos) <= 1
@@ -542,7 +547,8 @@ class TestKernelFallback:
         monkeypatch.setattr(search, "_compile_kernel", lambda src, lib: False)
         search._c_kernel.cache_clear()
         assert search._c_kernel() is None
-        assert search.c_decide(g, 3, tree) is None
+        with pytest.raises(ValueError):
+            search.c_decide(g, 3, tree, root_choices(g.n, 3))
         assert [outcome(python_kernel(g, 3, tree, lo)) for lo in stream] == want
         got = decide(g, 3)
         assert (got.stats.kernel, want_decide.stats.kernel) == ("python", "c")
@@ -576,17 +582,24 @@ class TestKernelFallback:
 
 @pytest.mark.usefixtures("compiled_kernel")
 class TestWitnessCheck:
-    @pytest.mark.parametrize("kernel", ["_dfs_c", "_dfs_python"])
+    @pytest.mark.parametrize("kernel", ["_dfs_c", "dfs_decide"])
     def test_bad_witness_raises(self, kernel, monkeypatch):
-        # In color order for n=4, b=1 this path puts vertices 0 and 1 at
-        # positions 1 and 3, two apart on an edge.
+        # In color order for n=4, b=1 the path [0, 1, 2, 3] puts vertices
+        # 0 and 1 at positions 1 and 3, two apart on an edge.
         g = generate("path", 4)
         tree = spanning_tree(g, 0)
         lo = next(enumerate_assignments(g, tree, 1))
-        module, run = (reference_search, compiled_dfs) if kernel == "_dfs_c" else (search, python_kernel)
-        monkeypatch.setattr(module, kernel, lambda *a: (YES, [0, 1, 2, 3], SearchStats()))
-        with pytest.raises(WitnessError):
-            run(g, 1, tree, lo)
+        if kernel == "_dfs_c":
+            monkeypatch.setattr(reference_search, "_dfs_c", lambda *a: (YES, [0, 1, 2, 3], SearchStats()))
+            with pytest.raises(WitnessError):
+                compiled_dfs(g, 1, tree, lo)
+        else:
+            # The loop reads the edges off the plan and checks the
+            # ordering on g: with the plan's edges gone, it finds that path.
+            plan = SearchPlan(g, 1, tree)
+            plan.adj = [0] * g.n
+            with pytest.raises(WitnessError):
+                dfs_decide(plan, lo)
 
     def test_bad_witness_from_compiled_walk_raises(self, monkeypatch):
         # The walk says yes with vertices 0 and 1 of the path two apart.

@@ -96,11 +96,13 @@ class TestDecide:
         with pytest.raises(GraphError, match="n >= 2"):
             decide(Graph(1, []), 1)
 
-    @pytest.mark.parametrize("n, p, kernel", [(12, 0.3, "c"), (25, 0.2, "python")])
-    def test_rejects_non_integer_b(self, n, p, kernel):
+    @pytest.mark.parametrize("n, p, kernel", [(12, 0.3, "c"), (12, 0.3, "python")])
+    def test_rejects_non_integer_b(self, n, p, kernel, monkeypatch):
         # 2.0 meets 1 <= b < n, but the compiled call and the Python loop
         # each fail on it with their own error; decide refuses it first.
         g = generate("random_gnp", n, p, seed=1)
+        if kernel == "python":
+            monkeypatch.setattr(solve, "c_kernel_for", lambda n: None)
         assert decide(g, 2).stats.kernel in (kernel, "python")
         with pytest.raises(GraphError, match="integer b"):
             decide(g, 2.0)
@@ -179,15 +181,26 @@ class TestDecide:
         assert out.split() == ["['yes']"]
 
     def test_worker_exception_reraised(self, monkeypatch):
-        # Raised in the compiled part kernel, then in the Python one.
-        def failing(*args, **kwargs):
-            raise WitnessError("kernel bug")
+        # Raised in a compiled part on a worker thread, then in the
+        # Python loop, which runs serially.
+        raised = []
 
-        monkeypatch.setattr(solve, "dfs_decide", failing)
-        for c_decide in (failing, lambda *args, **kwargs: None):
-            monkeypatch.setattr(solve, "c_decide", c_decide)
-            with pytest.raises(WitnessError, match="kernel bug"):
-                decide(generate("cycle", 6), 2, workers=2)
+        def failing(name):
+            def fail(*args, **kwargs):
+                raised.append(name)
+                raise WitnessError("kernel bug")
+            return fail
+
+        monkeypatch.setattr(solve, "c_decide", failing("c"))
+        monkeypatch.setattr(solve, "dfs_decide", failing("python"))
+        g = generate("cycle", 6)
+        with pytest.raises(WitnessError, match="kernel bug"):
+            decide(g, 2, workers=2)
+        monkeypatch.setattr(solve, "c_kernel_for", lambda n: None)
+        with pytest.raises(WitnessError, match="kernel bug"):
+            decide(g, 2, workers=2)
+        assert raised[0] == ("python" if search.c_kernel_for(g.n) is None else "c")
+        assert raised[-1] == "python"
 
     @pytest.mark.parametrize("seconds", [0, -1.0, float("nan"), True])
     def test_budget_rejects_non_positive_seconds(self, seconds):
@@ -213,18 +226,22 @@ class TestDecide:
         with pytest.raises(ValueError, match="workers must be a positive integer"):
             minimize_bandwidth(generate("path", 6), workers=workers)
 
-    @pytest.mark.parametrize("n, b", [(24, 5), (21, 2)], ids=["python-kernel", "compiled"])
-    def test_parallel_workers_honour_deadline(self, n, b):
-        # random_tree(24) runs serially on the Python kernel, whose first
-        # part at b=5 takes about 0.5 s to its "yes" (the others 1-4 s).
-        # random_tree(21) at b=2 is a compiled "no" of about 0.3 s, its
-        # parts on threads. Either way the deadline must stop the runs
-        # mid-way; the state cap only bounds memory should it not.
-        g = generate("random_tree", n, seed=0)
+    @pytest.mark.parametrize("loop", [True, False], ids=["python-kernel", "compiled"])
+    def test_parallel_workers_honour_deadline(self, loop, monkeypatch):
+        # random_tree(21) at b=2 is a compiled "no" of about 0.1 s with
+        # its parts on 2 threads (0.17 s serially), and takes the Python
+        # loop, which runs serially, over 5 s. Either way the 0.02 s
+        # deadline must stop the runs mid-way; the state cap only bounds
+        # memory should it not.
+        if loop:
+            monkeypatch.setattr(solve, "c_kernel_for", lambda n: None)
+        g = generate("random_tree", 21, seed=0)
         start = time.monotonic()
-        res = decide(g, b, Budget(max_states=1_000_000, max_seconds=0.1), workers=2)
+        res = decide(g, 2, Budget(max_states=1_000_000, max_seconds=0.02), workers=2)
         assert res.status == UNKNOWN
-        assert time.monotonic() - start < 0.1 + 2.0
+        assert time.monotonic() - start < 0.02 + 2.0
+        if loop:
+            assert res.stats.kernel == "python"
 
     @pytest.mark.skipif(search.c_kernel_for(21) is None, reason="no compiled kernel")
     def test_parallel_yes_stops_later_parts(self):
@@ -263,9 +280,12 @@ class TestDecide:
         timed = decide(g, 2, Budget(max_seconds=60))
         assert (timed.status, timed.stats.to_dict()) == (NO, full.stats.to_dict())
 
-    def test_kernel_reported(self):
+    def test_kernel_reported(self, monkeypatch):
+        # star(20) has 21 vertices, which the compiled kernel takes;
+        # with c_kernel_for giving none, the Python loop runs it.
         assert decide(generate("cycle", 6), 2).stats.kernel in ("c", "python")
-        assert decide(generate("star", 21), 11).stats.kernel == "python"
+        monkeypatch.setattr(solve, "c_kernel_for", lambda n: None)
+        assert decide(generate("star", 20), 10).stats.kernel == "python"
 
     def test_merge_names_mixed_kernels(self):
         # A solve whose components ran on both kernels names neither; a
