@@ -18,7 +18,7 @@ import math
 import os
 import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .assignments import segment_width
 from .geometry import color_order, segment_of
@@ -39,6 +39,50 @@ class WitnessError(RuntimeError):
 @dataclass
 class SearchStats:
     states_visited: int = 0
+
+
+@dataclass
+class DecideStats:
+    """The counters of a decide or of any part of it, folded only by
+    merge: `runs`, the assignments searched; `assignments_generated`,
+    those the stream yielded (today equal to `runs`); `states_total` and
+    `states_max_run`, the states visited in all runs and in the largest
+    one; `kernel`, the phase-2 kernel that made the runs: "c", "python",
+    "mixed" when records of both were merged, or None when none ran."""
+
+    assignments_generated: int = 0
+    runs: int = 0
+    states_total: int = 0
+    states_max_run: int = 0
+    kernel: str | None = None
+
+    def _add_kernel(self, kernel: str | None) -> None:
+        if self.kernel is None:
+            self.kernel = kernel
+        elif kernel not in (None, self.kernel):
+            self.kernel = "mixed"
+
+    def merge(self, other: "DecideStats") -> None:
+        self.assignments_generated += other.assignments_generated
+        self.runs += other.runs
+        self.states_total += other.states_total
+        self.states_max_run = max(self.states_max_run, other.states_max_run)
+        self._add_kernel(other.kernel)
+
+    def to_dict(self) -> dict:
+        # Every field is a scalar, so asdict's deep copy (about 16 us, a
+        # tenth of a small solve, which calls this once) buys nothing.
+        return dict(vars(self))
+
+
+@dataclass
+class DecideResult:
+    status: str  # YES / NO / UNKNOWN
+    ordering: list[int] | None
+    stats: DecideStats
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 class SearchPlan:
@@ -147,20 +191,20 @@ def dfs_decide(
 
 
 def c_decide(g: Graph, b: int, tree: RootedTree, roots: range, max_states: int = DEFAULT_MAX_STATES,
-             deadline: float = math.inf, stop: ctypes.c_int | None = None) -> tuple:
+             deadline: float = math.inf, stop: ctypes.c_int | None = None) -> DecideResult:
     """solve.walk's part over the root choices in `roots`, in one
-    compiled call: (status, checked ordering or None, runs,
-    states_total, states_max_run). The kernel reads `stop` wherever it
-    reads the clock, and once another thread sets it to 1 the call
-    answers UNKNOWN as if the deadline had passed. Raises ValueError
-    when c_kernel_for(n) gives no kernel (its arrays hold MAXN
-    vertices), when b is not in 1..n-1, or when tree does not span g."""
+    compiled call, as a DecideResult with a checked ordering and kernel
+    "c" once a run was made. The kernel reads `stop` wherever it reads
+    the clock; once another thread sets it to 1 the call answers UNKNOWN
+    as if the deadline had passed. Raises ValueError when c_kernel_for(n)
+    gives no kernel (its arrays hold MAXN vertices), when b is not in
+    1..n-1, or when tree.n != g.n (the guard checks no more of tree)."""
     kernel = c_kernel_for(g.n)
     if kernel is None or not (1 <= b < g.n and tree.n == g.n):
-        raise ValueError(f"c_decide requires the compiled kernel for n, 1 <= b < n and a spanning tree, "
+        raise ValueError(f"c_decide requires the compiled kernel for n, 1 <= b < n and a tree on n vertices, "
                          f"got b={b}, n={g.n}")
     ints = ctypes.c_int * g.n
-    pos, out = ints(), (ctypes.c_uint64 * 3)()
+    pos, out = ints(), (ctypes.c_uint64 * _OUT_LEN)()
     code = kernel.bw_decide(
         g.n, b, (ctypes.c_uint64 * g.n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)),
         ints(*tree.preorder), ints(*(-1 if p is None else p for p in tree.parent)),
@@ -168,7 +212,9 @@ def c_decide(g: Graph, b: int, tree: RootedTree, roots: range, max_states: int =
         max(0, min(max_states, _U64_MAX)), deadline, stop, pos, out,
     )
     status = _C_STATUS[code]
-    return status, _checked(g, b, pos[:], "c") if status == YES else None, out[0], out[1], out[2]
+    runs, states, max_run = out
+    stats = DecideStats(runs, runs, states, max_run, "c" if runs else None)
+    return DecideResult(status, _checked(g, b, pos[:], "c") if status == YES else None, stats)
 
 
 def c_kernel_for(n: int):
@@ -242,6 +288,7 @@ def _hall_child(ok, unplaced, nbrs, t, slots):
 
 # bw_dfs and bw_decide return codes; out of memory is UNKNOWN like any cap.
 _C_STATUS = (NO, YES, UNKNOWN)
+_OUT_LEN = 3  # bw_decide's out[] slots: runs, states of all runs, of the largest run
 _U64_MAX = (1 << 64) - 1
 
 

@@ -27,6 +27,8 @@ from .search import (
     NO,
     UNKNOWN,
     YES,
+    DecideResult,
+    DecideStats,
     SearchPlan,
     WitnessError,
     c_decide,
@@ -55,43 +57,6 @@ class Budget:
         """The time.monotonic() instant max_seconds from now; math.inf
         when max_seconds is not set."""
         return math.inf if self.max_seconds is None else time.monotonic() + self.max_seconds
-
-
-@dataclass
-class DecideStats:
-    assignments_generated: int = 0
-    runs: int = 0
-    states_total: int = 0
-    states_max_run: int = 0
-    kernel: str | None = None  # phase-2 kernel that ran: "c", "python", "mixed"
-
-    def _add_kernel(self, kernel: str | None) -> None:
-        if self.kernel is None:
-            self.kernel = kernel
-        elif kernel not in (None, self.kernel):
-            self.kernel = "mixed"
-
-    def merge(self, other: "DecideStats") -> None:
-        self.assignments_generated += other.assignments_generated
-        self.runs += other.runs
-        self.states_total += other.states_total
-        self.states_max_run = max(self.states_max_run, other.states_max_run)
-        self._add_kernel(other.kernel)
-
-    def to_dict(self) -> dict:
-        # Every field is a scalar, so asdict's deep copy (about 16 us, a
-        # tenth of a small solve, which calls this once) buys nothing.
-        return dict(vars(self))
-
-
-@dataclass
-class DecideResult:
-    status: str  # YES / NO / UNKNOWN
-    ordering: list[int] | None
-    stats: DecideStats
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def decide(
@@ -128,32 +93,23 @@ def decide(
     if budget is None:
         budget = Budget()
     tree = spanning_tree(g, 0)  # raises on disconnected input
-    stats = DecideStats()
     if deadline is None:
         deadline = budget.deadline()
     elif math.isnan(deadline):  # no clock is ever past NaN, so the search would never stop
         raise ValueError("deadline must not be NaN")
-    kernel = c_kernel_for(g.n)
     roots = root_choices(g.n, b)
-    if workers == 1 or kernel is None:
-        status, pos, runs, states, max_run = walk(g, b, tree, roots, budget.max_states, deadline)
-    else:
-        # Only a parallel decide needs it; it loads logging, which the package import need not.
-        from concurrent.futures import ThreadPoolExecutor
+    if workers == 1 or c_kernel_for(g.n) is None:
+        return walk(g, b, tree, roots, budget.max_states, deadline)
+    # Only a parallel decide needs it; it loads logging, which the package import need not.
+    from concurrent.futures import ThreadPoolExecutor
 
-        stop = ctypes.c_int(0)  # set once the answer is known; every part then returns
-        with ThreadPoolExecutor(workers) as pool:
-            parts = pool.map(lambda c: walk(g, b, tree, range(c, c + 1), budget.max_states, deadline, stop),
-                             roots)
-            try:
-                status, pos, runs, states, max_run = _combine(parts, deadline)
-            finally:
-                stop.value = 1
-    stats.runs = stats.assignments_generated = runs
-    stats.states_total, stats.states_max_run = states, max_run
-    if runs:
-        stats.kernel = "python" if kernel is None else "c"
-    return DecideResult(status, pos, stats)
+    stop = ctypes.c_int(0)  # set once the answer is known; every part then returns
+    with ThreadPoolExecutor(workers) as pool:
+        parts = pool.map(lambda c: walk(g, b, tree, range(c, c + 1), budget.max_states, deadline, stop), roots)
+        try:
+            return _combine(parts, deadline)
+        finally:
+            stop.value = 1
 
 
 def _check_workers(workers) -> None:
@@ -163,48 +119,45 @@ def _check_workers(workers) -> None:
 
 
 def walk(g: Graph, b: int, tree: RootedTree, roots: range, max_states: int,
-         deadline: float, stop: ctypes.c_int | None = None) -> tuple:
-    """The part of decide's stream whose root lo lies in `roots`:
-    (status, ordering or None, runs, states, largest run's states), as
-    _combine folds its runs. This is the one hand-off to phase 2: when
+         deadline: float, stop: ctypes.c_int | None = None) -> DecideResult:
+    """The part of decide's stream whose root lo lies in `roots`, as one
+    DecideResult. This is the one hand-off to phase 2: when
     c_kernel_for(n) gives the compiled kernel, the part is one c_decide
-    call, which takes `stop`; otherwise it is the Python loop, one
-    dfs_decide per assignment of enumerate_assignments, every run
-    reading one SearchPlan, and with no stop flag. Past the deadline it
-    answers UNKNOWN after 0 runs, on either kernel."""
+    call, which takes `stop`; otherwise it is the Python loop with no
+    stop flag, one dfs_decide per assignment of enumerate_assignments,
+    all reading one SearchPlan, each a one-run record of kernel "python"
+    for _combine. Past the deadline it answers UNKNOWN after 0 runs."""
     if time.monotonic() > deadline:
-        return UNKNOWN, None, 0, 0, 0
+        return DecideResult(UNKNOWN, None, DecideStats())
     if c_kernel_for(g.n) is not None:
         return c_decide(g, b, tree, roots, max_states=max_states, deadline=deadline, stop=stop)
     plan = SearchPlan(g, b, tree)
     runs = (dfs_decide(plan, lo, max_states=max_states, deadline=deadline)
             for lo in enumerate_assignments(g, tree, b, roots))
-    return _combine(((status, pos, 1, r.states_visited, r.states_visited) for status, pos, r in runs),
-                    deadline)
+    return _combine((DecideResult(status, pos, DecideStats(1, 1, r.states_visited, r.states_visited, "python"))
+                     for status, pos, r in runs), deadline)
 
 
-def _combine(results, deadline: float) -> tuple:
-    """Fold (status, ordering, runs, states, max_run) results, taken in
-    stream order, into one under decide's rules: the first YES wins; an
-    UNKNOWN (a capped run or part) makes the answer UNKNOWN
-    unless a later result is YES; an UNKNOWN past the deadline ends the
-    fold. Runs and states add up, and max_run is the largest. Used on
-    the runs of a Python part and on the parts of a decide."""
+def _combine(results, deadline: float) -> DecideResult:
+    """Fold DecideResults, taken in stream order, into one under
+    decide's rules: the first YES wins; an UNKNOWN (a capped run or
+    part) makes the answer UNKNOWN unless a later result is YES; an
+    UNKNOWN past the deadline ends the fold before the next result is
+    taken. DecideStats.merge folds the counters of every result taken.
+    Used on the runs of a Python part and on the parts of a decide."""
     unknown_seen = False
-    runs = states = max_run = 0
-    for status, pos, r, s, m in results:
-        runs += r
-        states += s
-        max_run = max(max_run, m)
-        if status == YES:
-            return YES, pos, runs, states, max_run
-        if status == UNKNOWN:
+    stats = DecideStats()
+    for res in results:
+        stats.merge(res.stats)
+        if res.status == YES:
+            return DecideResult(YES, res.ordering, stats)
+        if res.status == UNKNOWN:
             # Each run gets the deadline, and one started after it
             # returns UNKNOWN at once, so only such results need the check.
             if time.monotonic() > deadline:
-                return UNKNOWN, None, runs, states, max_run
+                return DecideResult(UNKNOWN, None, stats)
             unknown_seen = True
-    return UNKNOWN if unknown_seen else NO, None, runs, states, max_run
+    return DecideResult(UNKNOWN if unknown_seen else NO, None, stats)
 
 
 def bounds(g: Graph, deadline: float = math.inf) -> tuple[int, int, list[int]]:

@@ -406,15 +406,20 @@ class TestCompiledWalk:
         # set, its first run stops at the root and so does the walk.
         g = generate("random_tree", 20)
         tree, roots = spanning_tree(g, 0), root_choices(g.n, 2)
-        assert search.c_decide(g, 2, tree, roots, stop=ctypes.c_int(0))[:3] == (NO, None, 28_280)
-        status, pos, runs, states, _ = search.c_decide(g, 2, tree, roots, stop=ctypes.c_int(1))
-        assert (status, pos) == (UNKNOWN, None)
-        assert runs <= 1 and states <= 1
+        res = search.c_decide(g, 2, tree, roots, stop=ctypes.c_int(0))
+        assert (res.status, res.ordering, res.stats.runs) == (NO, None, 28_280)
+        res = search.c_decide(g, 2, tree, roots, stop=ctypes.c_int(1))
+        assert (res.status, res.ordering) == (UNKNOWN, None)
+        assert res.stats.runs <= 1 and res.stats.states_total <= 1
 
     def test_root_parts_match_python_loop(self):
         # Each part of the stream, lo[root] = c, on its own: the compiled
-        # walk equals the Python loop over the same part, and the parts
-        # folded in order equal the walk over the whole stream.
+        # walk equals the Python loop over the same part, kernel names
+        # aside, and the parts folded in order equal the walk over the
+        # whole stream.
+        def kernel_aside(res):
+            return res.status, res.ordering, {**res.stats.to_dict(), "kernel": None}
+
         parts = 0
         for g in acceptance_corpus():
             tree = spanning_tree(g, 0)
@@ -423,7 +428,11 @@ class TestCompiledWalk:
                 compiled = [search.c_decide(g, b, tree, range(c, c + 1)) for c in roots]
                 with mock.patch.object(solve, "c_kernel_for", lambda n: None):
                     loop = [solve.walk(g, b, tree, range(c, c + 1), DEFAULT_MAX_STATES, math.inf) for c in roots]
-                assert compiled == loop, (g, b)
+                assert len(compiled) == len(loop)
+                for part, looped in zip(compiled, loop):
+                    assert kernel_aside(part) == kernel_aside(looped), (g, b)
+                    kernels = ("c", "python") if part.stats.runs else (None, None)
+                    assert (part.stats.kernel, looped.stats.kernel) == kernels, (g, b)
                 assert solve._combine(compiled, math.inf) == search.c_decide(g, b, tree, roots), (g, b)
                 parts += len(roots)
         assert parts == 12_925
@@ -502,6 +511,15 @@ class TestKernelSource:
             (params,) = re.findall(rf"^int {name}\(([^)]*)\)", fh.read(), re.M)
         fn = search._c_kernel().bw_decide if name == "bw_decide" else bw_dfs()
         assert len(fn.argtypes) == len(params.split(","))
+
+    def test_out_slots_fit_buffer(self):
+        # c_decide sizes bw_decide's out buffer by search._OUT_LEN, and
+        # ctypes does not check the C side: a slot written past it
+        # corrupts memory silently.
+        with open(search._KERNEL_SOURCE, encoding="utf-8") as fh:
+            (body,) = re.findall(r"^int bw_decide\(.*?^}", fh.read(), re.M | re.S)
+        slots = {int(k) for k in re.findall(r"\bout\[(\d+)\]", body)}
+        assert slots == set(range(search._OUT_LEN))
 
     @pytest.mark.usefixtures("compiled_kernel")
     def test_maxn_matches_python_gate(self):

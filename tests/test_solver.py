@@ -164,7 +164,7 @@ class TestDecide:
         assert {(YES, 147), (NO, 28_280), (UNKNOWN, 368)} <= statuses
         g = generate("random_tree", 14, seed=8)
         tree = spanning_tree(g, 0)
-        first, second = (solve.walk(g, 2, tree, range(c, c + 1), 1 << 26, math.inf)[0] for c in (-1, 0))
+        first, second = (solve.walk(g, 2, tree, range(c, c + 1), 1 << 26, math.inf).status for c in (-1, 0))
         assert (first, second) == (NO, YES)
 
     @pytest.mark.parametrize("seed", [1, 2, 4])
@@ -255,7 +255,7 @@ class TestDecide:
         serial = decide(g, 3)
         assert serial.status == YES
         start = time.monotonic()
-        assert solve.walk(g, 3, tree, range(0, 1), Budget().max_states, math.inf)[0] == YES
+        assert solve.walk(g, 3, tree, range(0, 1), Budget().max_states, math.inf).status == YES
         part = time.monotonic() - start
         best = math.inf
         for _ in range(3):
@@ -297,6 +297,42 @@ class TestDecide:
         assert agg.kernel == "mixed"
         agg.merge(DecideStats())
         assert agg.kernel == "mixed"
+
+
+class TestCombine:
+    # _combine's rules over hand-built records, in stream order, as the
+    # runs of a Python part or the parts of a parallel decide reach it.
+    @staticmethod
+    def run(status, states, ordering=None):
+        return DecideResult(status, ordering, DecideStats(1, 1, states, states, "c"))
+
+    def test_yes_after_unknown_wins(self):
+        res = solve._combine([self.run(UNKNOWN, 5), self.run(YES, 3, [2, 1])], math.inf)
+        assert (res.status, res.ordering) == (YES, [2, 1])
+
+    def test_unknown_then_no_is_unknown(self):
+        res = solve._combine([self.run(UNKNOWN, 5), self.run(NO, 3)], math.inf)
+        assert (res.status, res.ordering, res.stats.runs) == (UNKNOWN, None, 2)
+
+    def test_unknown_past_deadline_ends_fold(self):
+        def results():
+            yield self.run(NO, 2)
+            yield self.run(UNKNOWN, 4)
+            raise AssertionError("the fold took a result after the deadline")
+
+        res = solve._combine(results(), time.monotonic() - 1)
+        assert (res.status, res.ordering, res.stats.runs, res.stats.states_total) == (UNKNOWN, None, 2, 6)
+        # Before the deadline the same UNKNOWN does not end the fold.
+        with pytest.raises(AssertionError, match="after the deadline"):
+            solve._combine(results(), math.inf)
+
+    def test_counters_fold_by_merge(self):
+        # Runs and states add up, the largest run is kept, and a record
+        # with no run (kernel None) leaves the kernel "c".
+        empty = DecideResult(NO, None, DecideStats())
+        part = DecideResult(NO, None, DecideStats(3, 3, 12, 9, "c"))
+        res = solve._combine([self.run(NO, 7), empty, part, empty], math.inf)
+        assert res == DecideResult(NO, None, DecideStats(4, 4, 19, 9, "c"))
 
 
 def disjoint_union(*parts: Graph) -> Graph:
@@ -498,6 +534,27 @@ class TestMinimize:
         assert len(decides) == len(deadlines) == 2
         assert len(set(deadlines)) == 1
         assert start + 60 <= deadlines[0] <= call_times[0] + 60
+
+    @pytest.mark.skipif(search.c_kernel_for(10) is None, reason="no compiled kernel")
+    def test_mixed_kernels_in_stats(self, monkeypatch):
+        # bounds leave [3, 4] on both components. At b = 3 the G(10, 0.3)
+        # says yes on the compiled kernel, then the G(9, 0.35) says no on
+        # the Python loop: each decide names the kernel that ran, and the
+        # solve names both.
+        decides = []
+        real_decide = solve.decide
+
+        def recording_decide(g, b, *args, **kwargs):
+            res = real_decide(g, b, *args, **kwargs)
+            decides.append((g.n, b, res.status, res.stats.kernel))
+            return res
+
+        monkeypatch.setattr(solve, "c_kernel_for", lambda n: search.c_kernel_for(n) if n == 10 else None)
+        monkeypatch.setattr(solve, "decide", recording_decide)
+        g = disjoint_union(generate("random_gnp", 10, 0.3, seed=0), generate("random_gnp", 9, 0.35, seed=0))
+        res = minimize_bandwidth(g)
+        assert decides == [(10, 3, YES, "c"), (9, 3, NO, "python")]
+        assert (res.status, res.bandwidth, res.stats["kernel"]) == (OPTIMAL, 4, "mixed")
 
     def test_kernel_in_stats(self):
         assert minimize_bandwidth(generate("random_gnp", 10, 0.3, seed=1)).stats["kernel"] in ("c", "python")
