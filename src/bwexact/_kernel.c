@@ -25,6 +25,7 @@
  * return; it only goes from 0 to 1, so a stale read costs one more
  * check at most. Both return BW_NO, BW_YES or BW_UNKNOWN, the last for
  * any stop short of an answer: cap, deadline, stop flag, out of memory.
+ * bw_decide answers with the first run that does not answer BW_NO.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -231,24 +232,24 @@ static int fits(int n, int b, int c, int w, uint64_t nbrs, const int *lo, const 
 
 /* One decide, or one part of it: runs bw_dfs on every segment assignment
  * over the spanning tree whose root lo lies in root_lo .. root_hi - 1, in
- * the order of assignments.enumerate_assignments, under the rules of
+ * the order of assignments.enumerate_assignments, under the rule of
  * solve.decide. order is the tree's preorder and parent[v] v's parent
  * (-1 at the root); a vertex with no child has a width-4 segment, any
  * other width 2. The root's lo runs up from root_lo, an inner child's is
  * its parent's - 1 then + 1, a leaf's its parent's - 1; fits drops a
- * choice whose segment holds no position in 1..n. The first BW_YES
- * wins, and pos[v] is then v's position. A run stopped by a cap makes
- * the answer BW_UNKNOWN unless a later run says yes, and one that ends
- * unfinished after the deadline, or with the stop flag set, ends the
- * decide. out[0] gets the runs, out[1] the states of all runs, out[2]
- * the most states in one run. */
+ * choice whose segment holds no position in 1..n. The first run that
+ * does not answer BW_NO ends the walk with its status: BW_YES, and then
+ * pos[v] is v's position, or BW_UNKNOWN from any stop (cap, deadline,
+ * stop flag, out of memory). BW_NO once every run said no. out[0] gets
+ * the runs, out[1] the states of all runs, out[2] the most states in
+ * one run. */
 int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *parent,
               int root_lo, int root_hi, uint64_t max_states, double deadline,
               const volatile int *stop, int *pos, uint64_t *out)
 {
     int width[MAXN], step[MAXN], seq[MAXN], lo[MAXN], path[MAXN], next[MAXN], last[MAXN];
     uint64_t earlier[MAXN], seen = 0, states;
-    int k = 0, d, unknown = 0;
+    int k = 0, d;
     for (d = 0; d < n; d++) { /* a parent comes before its children in preorder */
         width[order[d]] = 4;
         if (parent[order[d]] >= 0)
@@ -270,7 +271,7 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
             c += stride;
         if (c > last[d]) {
             if (d-- == 0)
-                return unknown ? BW_UNKNOWN : BW_NO;
+                return BW_NO;
             continue;
         }
         next[d] = c + stride;
@@ -285,15 +286,10 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
         out[0]++;
         out[1] += states;
         out[2] = states > out[2] ? states : out[2];
-        if (status == BW_YES) {
+        if (status == BW_YES)
             for (k = 0; k < n; k++)
                 pos[path[k]] = seq[k];
-            return BW_YES;
-        }
-        if (status == BW_UNKNOWN) {
-            if (past(deadline, stop))
-                return BW_UNKNOWN;
-            unknown = 1;
-        }
+        if (status != BW_NO)
+            return status;
     }
 }

@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget_flags(p):
         p.add_argument("--max-states", type=int, default=Budget().max_states,
-                       help="visited-state cap per search run")
+                       help="visited-state cap per search run; a run that reaches it ends the "
+                            "search as unknown")
         p.add_argument("--max-seconds", type=float, default=None,
                        help="wall-time cap per decide or solve; per instance under bench")
         p.add_argument("--workers", type=int, default=1,
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="is there an ordering of bandwidth <= b?")
     p.add_argument("graph")
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=int, required=True, help="the bandwidth to decide, 1 <= b < n")
     add_budget_flags(p)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_decide)
@@ -178,26 +179,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force bandwidth (small n only)")
     p.add_argument("graph")
-    p.add_argument("--limit", type=int, default=10)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--limit", type=int, default=10, help="largest n it accepts (default 10)")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("analyze", help="branching-recurrence bound on the state count")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="measure weight alpha in (0, 1]; with --beta, bound these weights "
+                        "instead of optimizing them")
+    p.add_argument("--beta", type=float, default=None, help="measure weight beta in (0, 1]; needs --alpha")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gen", help="generate a graph file")
     p.add_argument("family", choices=sorted(FAMILY_PARAMS))
     p.add_argument("params", nargs="*")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", default=None)
+    p.add_argument("--seed", type=int, default=0, help="random seed for the random families (default 0)")
+    p.add_argument("-o", "--out", default=None, help="write the graph to this file instead of stdout")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="run a generated corpus, one JSON line per instance")
     p.add_argument("suite", choices=["small", "smoke"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="first seed of the random instances (default 0)")
     add_budget_flags(p)
     p.set_defaults(func=cmd_bench)
 

@@ -25,10 +25,12 @@ class Graph:
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges) -> None:
-        if n < 0:
-            raise GraphError(f"vertex count must be non-negative, got {n}")
+        if type(n) is not int or n < 0:  # bool is an int too
+            raise GraphError(f"vertex count must be a non-negative integer, got {n!r}")
         canon = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise GraphError(f"edge ({u!r}, {v!r}) needs integer endpoints")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -248,7 +250,8 @@ def ordering_bandwidth(g: Graph, pos: list[int]) -> int:
 
 
 # Each generator family's parameter types, in order: generate checks the
-# count against it and the CLI's gen command converts its arguments by it.
+# count and types against it (an int passes for a float, a bool for
+# neither) and the CLI's gen command converts its arguments by it.
 FAMILY_PARAMS = {
     "path": (int,), "cycle": (int,), "complete": (int,), "star": (int,),
     "random_gnp": (int, float), "random_tree": (int,), "caterpillar": (int, int),
@@ -266,6 +269,9 @@ def generate(family: str, *params, seed: int = 0, connected: bool = True) -> Gra
         raise GraphError(f"unknown graph family {family!r}")
     if len(params) != len(types):
         raise GraphError(f"family {family} takes {len(types)} parameter(s), got {len(params)}")
+    for i, (kind, p) in enumerate(zip(types, params), 1):
+        if type(p) is not kind and not (kind is float and type(p) is int):
+            raise GraphError(f"family {family} parameter {i} must be {kind.__name__}, got {p!r}")
     rng = random.Random(seed)
     if family == "path":
         (n,) = params

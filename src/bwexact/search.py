@@ -194,11 +194,14 @@ def c_decide(g: Graph, b: int, tree: RootedTree, roots: range, max_states: int =
              deadline: float = math.inf, stop: ctypes.c_int | None = None) -> DecideResult:
     """solve.walk's part over the root choices in `roots`, in one
     compiled call, as a DecideResult with a checked ordering and kernel
-    "c" once a run was made. The kernel reads `stop` wherever it reads
-    the clock; once another thread sets it to 1 the call answers UNKNOWN
-    as if the deadline had passed. Raises ValueError when c_kernel_for(n)
-    gives no kernel (its arrays hold MAXN vertices), when b is not in
-    1..n-1, or when tree.n != g.n (the guard checks no more of tree)."""
+    "c" once a run was made. The first run that does not answer NO ends
+    the call with its answer: YES, or UNKNOWN on the state cap, the
+    deadline, the stop flag or out of memory. The kernel reads `stop`
+    wherever it reads the clock; once another thread sets it to 1 the
+    call answers UNKNOWN as if the deadline had passed. Raises
+    ValueError when c_kernel_for(n) gives no kernel (its arrays hold
+    MAXN vertices), when b is not in 1..n-1, or when tree.n != g.n (the
+    guard checks no more of tree)."""
     kernel = c_kernel_for(g.n)
     if kernel is None or not (1 <= b < g.n and tree.n == g.n):
         raise ValueError(f"c_decide requires the compiled kernel for n, 1 <= b < n and a tree on n vertices, "

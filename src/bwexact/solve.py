@@ -79,9 +79,11 @@ def decide(
     are taken back in stream order, so the answer, witness and counters
     are the same; once the answer is known, a stop flag ends the parts
     still running. The Python loop (see walk) gains nothing from
-    threads and runs serially whatever `workers` says. First witness
-    wins; "no" means all accepted assignments were exhausted; "unknown"
-    means a budget cap fired before either.
+    threads and runs serially whatever `workers` says. The first run
+    that does not answer "no" is the answer: "yes" with its witness, or
+    "unknown" when it stopped on the state cap, the deadline or out of
+    memory, and no later run is searched (a "yes" after a capped run is
+    not looked for). "no" means every accepted assignment was exhausted.
     `deadline` is an absolute time.monotonic() instant (NaN is refused);
     without one, the budget's max_seconds counts from now.
     """
@@ -107,7 +109,7 @@ def decide(
     with ThreadPoolExecutor(workers) as pool:
         parts = pool.map(lambda c: walk(g, b, tree, range(c, c + 1), budget.max_states, deadline, stop), roots)
         try:
-            return _combine(parts, deadline)
+            return _combine(parts)
         finally:
             stop.value = 1
 
@@ -126,7 +128,8 @@ def walk(g: Graph, b: int, tree: RootedTree, roots: range, max_states: int,
     call, which takes `stop`; otherwise it is the Python loop with no
     stop flag, one dfs_decide per assignment of enumerate_assignments,
     all reading one SearchPlan, each a one-run record of kernel "python"
-    for _combine. Past the deadline it answers UNKNOWN after 0 runs."""
+    for _combine. Either way the part ends at its first run that does
+    not answer NO. Past the deadline it answers UNKNOWN after 0 runs."""
     if time.monotonic() > deadline:
         return DecideResult(UNKNOWN, None, DecideStats())
     if c_kernel_for(g.n) is not None:
@@ -134,30 +137,23 @@ def walk(g: Graph, b: int, tree: RootedTree, roots: range, max_states: int,
     plan = SearchPlan(g, b, tree)
     runs = (dfs_decide(plan, lo, max_states=max_states, deadline=deadline)
             for lo in enumerate_assignments(g, tree, b, roots))
-    return _combine((DecideResult(status, pos, DecideStats(1, 1, r.states_visited, r.states_visited, "python"))
-                     for status, pos, r in runs), deadline)
+    return _combine(DecideResult(status, pos, DecideStats(1, 1, r.states_visited, r.states_visited, "python"))
+                    for status, pos, r in runs)
 
 
-def _combine(results, deadline: float) -> DecideResult:
+def _combine(results) -> DecideResult:
     """Fold DecideResults, taken in stream order, into one under
-    decide's rules: the first YES wins; an UNKNOWN (a capped run or
-    part) makes the answer UNKNOWN unless a later result is YES; an
-    UNKNOWN past the deadline ends the fold before the next result is
-    taken. DecideStats.merge folds the counters of every result taken.
-    Used on the runs of a Python part and on the parts of a decide."""
-    unknown_seen = False
+    decide's rule: the first result that is not NO is the answer, a YES
+    with its ordering or an UNKNOWN, and no result after it is taken;
+    NO once every result is NO. DecideStats.merge folds the counters of
+    every result taken. Used on the runs of a Python part and on the
+    parts of a decide."""
     stats = DecideStats()
     for res in results:
         stats.merge(res.stats)
-        if res.status == YES:
-            return DecideResult(YES, res.ordering, stats)
-        if res.status == UNKNOWN:
-            # Each run gets the deadline, and one started after it
-            # returns UNKNOWN at once, so only such results need the check.
-            if time.monotonic() > deadline:
-                return DecideResult(UNKNOWN, None, stats)
-            unknown_seen = True
-    return DecideResult(UNKNOWN if unknown_seen else NO, None, stats)
+        if res.status != NO:
+            return DecideResult(res.status, res.ordering, stats)
+    return DecideResult(NO, None, stats)
 
 
 def bounds(g: Graph, deadline: float = math.inf) -> tuple[int, int, list[int]]:

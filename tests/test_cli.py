@@ -9,7 +9,7 @@ import pytest
 
 import bwexact
 from bwexact import solve
-from bwexact.cli import bench_instances, main
+from bwexact.cli import bench_instances, build_parser, main
 from bwexact.graph import generate, ordering_bandwidth, parse_graph, write_graph
 
 
@@ -124,6 +124,15 @@ class TestUsage:
     def test_help_exit_0(self, capsys):
         assert main(["decide", "--help"]) == 0
         assert "--b" in capsys.readouterr().out
+
+    def test_every_option_has_help(self):
+        missing = [
+            f"{name} {'/'.join(action.option_strings)}"
+            for name, sub in build_parser()._subparsers._group_actions[0].choices.items()
+            for action in sub._actions
+            if action.option_strings and not action.help
+        ]
+        assert missing == []
 
 
 class TestSolve:

@@ -76,6 +76,17 @@ class TestGraph:
         with pytest.raises(GraphError, match="out of range"):
             Graph(2, [(0, 5)])
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
+    def test_rejects_non_integer_count(self, n):
+        # bool is an int too, but not a vertex count.
+        with pytest.raises(GraphError, match="non-negative integer"):
+            Graph(n, [])
+
+    @pytest.mark.parametrize("edge", [(0, 1.0), ("0", 1), (True, 0)])
+    def test_rejects_non_integer_endpoint(self, edge):
+        with pytest.raises(GraphError, match="integer endpoints"):
+            Graph(2, [edge])
+
     def test_deduplicates(self):
         g = Graph(2, [(0, 1), (1, 0)])
         assert g.m == 1
@@ -325,3 +336,19 @@ class TestGenerate:
             generate("moebius", 5)
         with pytest.raises(GraphError, match="family random_gnp takes 2 parameter"):
             generate("random_gnp", 5)
+
+    @pytest.mark.parametrize("family, params, index", [
+        ("path", (5.0,), 1),
+        ("star", (True,), 1),
+        ("random_gnp", (8, "0.3"), 2),
+        ("random_gnp", ("8", 0.3), 1),
+        ("random_gnp", (8, False), 2),
+        ("caterpillar", (3, 2.0), 2),
+    ])
+    def test_rejects_mistyped_params(self, family, params, index):
+        # An int passes for a float; a bool passes for neither.
+        with pytest.raises(GraphError, match=f"family {family} parameter {index} must be"):
+            generate(family, *params)
+
+    def test_int_passes_for_float(self):
+        assert generate("random_gnp", 4, 1) == generate("complete", 4)

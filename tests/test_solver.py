@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -146,7 +147,10 @@ class TestDecide:
             (generate("random_tree", 14, seed=8), (1, 2), None),
             # "no" after 28,280 runs over 8 parts.
             (generate("random_tree", 20), (2,), None),
-            # Capped runs in all 6 parts: "unknown" after 368 runs.
+            # The first capped run, run 47, ends the decide "unknown" in
+            # part lo[root] = 0, after a "no" part lo[root] = -1.
+            (generate("random_tree", 14, seed=1), (2,), Budget(max_states=898)),
+            # The first capped run, run 15, ends it in the first part.
             (generate("random_gnp", 18, 0.2), (3,), Budget(max_states=5)),
         ]
         statuses = set()
@@ -161,11 +165,13 @@ class TestDecide:
                 if seq.status == YES:
                     assert ordering_bandwidth(g, seq.ordering) <= b
                 statuses.add((seq.status, seq.stats.runs))
-        assert {(YES, 147), (NO, 28_280), (UNKNOWN, 368)} <= statuses
-        g = generate("random_tree", 14, seed=8)
-        tree = spanning_tree(g, 0)
-        first, second = (solve.walk(g, 2, tree, range(c, c + 1), 1 << 26, math.inf).status for c in (-1, 0))
-        assert (first, second) == (NO, YES)
+        assert {(YES, 147), (NO, 28_280), (UNKNOWN, 47), (UNKNOWN, 15)} <= statuses
+        for g, max_states, answer in ((generate("random_tree", 14, seed=8), 1 << 26, YES),
+                                      (generate("random_tree", 14, seed=1), 898, UNKNOWN)):
+            tree = spanning_tree(g, 0)
+            first, second = (solve.walk(g, 2, tree, range(c, c + 1), max_states, math.inf).status
+                             for c in (-1, 0))
+            assert (first, second) == (NO, answer)
 
     @pytest.mark.parametrize("seed", [1, 2, 4])
     def test_parallel_repeated_yes_does_not_hang(self, seed):
@@ -243,6 +249,17 @@ class TestDecide:
         if loop:
             assert res.stats.kernel == "python"
 
+    def test_first_capped_run_ends_python_loop(self, monkeypatch):
+        # Run 720 reaches the cap and ends the decide; the 70,520 runs
+        # after it in the stream are not searched.
+        monkeypatch.setattr(solve, "c_kernel_for", lambda n: None)
+        g = generate("random_tree", 22)
+        start = time.monotonic()
+        res = decide(g, 2, Budget(max_states=200))
+        assert time.monotonic() - start < 1.0
+        assert (res.status, res.stats.runs, res.stats.states_max_run, res.stats.kernel) == (
+            UNKNOWN, 720, 200, "python")
+
     @pytest.mark.skipif(search.c_kernel_for(21) is None, reason="no compiled kernel")
     def test_parallel_yes_stops_later_parts(self):
         # The "yes" at b=3 comes in the first part, lo[root] = -1, in
@@ -300,38 +317,41 @@ class TestDecide:
 
 
 class TestCombine:
-    # _combine's rules over hand-built records, in stream order, as the
-    # runs of a Python part or the parts of a parallel decide reach it.
+    # _combine's rule over hand-built records, in stream order, as the
+    # runs of a Python part or the parts of a parallel decide reach it:
+    # the first record that is not NO is the answer.
     @staticmethod
     def run(status, states, ordering=None):
         return DecideResult(status, ordering, DecideStats(1, 1, states, states, "c"))
 
-    def test_yes_after_unknown_wins(self):
-        res = solve._combine([self.run(UNKNOWN, 5), self.run(YES, 3, [2, 1])], math.inf)
-        assert (res.status, res.ordering) == (YES, [2, 1])
+    def test_yes_after_unknown_not_taken(self):
+        res = solve._combine([self.run(UNKNOWN, 5), self.run(YES, 3, [2, 1])])
+        assert (res.status, res.ordering, res.stats.runs) == (UNKNOWN, None, 1)
 
     def test_unknown_then_no_is_unknown(self):
-        res = solve._combine([self.run(UNKNOWN, 5), self.run(NO, 3)], math.inf)
-        assert (res.status, res.ordering, res.stats.runs) == (UNKNOWN, None, 2)
+        res = solve._combine([self.run(UNKNOWN, 5), self.run(NO, 3)])
+        assert (res.status, res.ordering, res.stats.runs) == (UNKNOWN, None, 1)
 
-    def test_unknown_past_deadline_ends_fold(self):
+    def test_unknown_ends_fold(self, monkeypatch):
+        # Whether or not the deadline has passed: the fold reads no clock.
         def results():
             yield self.run(NO, 2)
             yield self.run(UNKNOWN, 4)
-            raise AssertionError("the fold took a result after the deadline")
+            raise AssertionError("the fold took a result after an UNKNOWN")
 
-        res = solve._combine(results(), time.monotonic() - 1)
+        def clock():
+            raise AssertionError("the fold read the clock")
+
+        monkeypatch.setattr(solve, "time", SimpleNamespace(monotonic=clock))
+        res = solve._combine(results())
         assert (res.status, res.ordering, res.stats.runs, res.stats.states_total) == (UNKNOWN, None, 2, 6)
-        # Before the deadline the same UNKNOWN does not end the fold.
-        with pytest.raises(AssertionError, match="after the deadline"):
-            solve._combine(results(), math.inf)
 
     def test_counters_fold_by_merge(self):
         # Runs and states add up, the largest run is kept, and a record
         # with no run (kernel None) leaves the kernel "c".
         empty = DecideResult(NO, None, DecideStats())
         part = DecideResult(NO, None, DecideStats(3, 3, 12, 9, "c"))
-        res = solve._combine([self.run(NO, 7), empty, part, empty], math.inf)
+        res = solve._combine([self.run(NO, 7), empty, part, empty])
         assert res == DecideResult(NO, None, DecideStats(4, 4, 19, 9, "c"))
 
 
