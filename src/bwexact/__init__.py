@@ -13,7 +13,6 @@ from .solve import (
     DecideResult,
     SolveResult,
     decide,
-    lower_bound,
     minimize_bandwidth,
     oracle_bandwidth,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "SolveResult",
     "decide",
     "generate",
-    "lower_bound",
     "minimize_bandwidth",
     "oracle_bandwidth",
     "ordering_bandwidth",

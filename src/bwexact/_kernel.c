@@ -78,25 +78,25 @@ static int grow(table *tb)
  * segment s: s lies in their segment and every assigned neighbour holds
  * s or s+1. That is the extension rule, so ok[t] also gives the
  * candidates at a step with base segment t. The child's masks go to
- * nok. slots[s] counts the steps left after the child with base
+ * nok. left[s] counts the steps left after the child with base
  * segment s, and `unplaced` is the child's unassigned set. With
  * m[s] = nok[s] for s that has steps left, and A(w) the segments s
  * with w in m[s], the child is dropped (0) when some A(w) is empty, or
- * when for some window [i, j] more than slots[i] + ... + slots[j]
+ * when for some window [i, j] more than left[i] + ... + left[j]
  * vertices have A(w) inside [i, j]. Every
  * completion matches each unassigned w to its own step left at a
  * segment of A(w), since assigned values never change below a state,
  * so a dropped child has no completion and the search returns what it
  * would without the test. Each A(w) is an interval, so these windows
  * are all of Hall's condition for that matching (Glover 1967). */
-static int hall(int nseg, const uint64_t *ok, uint64_t *nok, const int *slots, uint64_t unplaced,
+static int hall(int nseg, const uint64_t *ok, uint64_t *nok, const int *left, uint64_t unplaced,
                 uint64_t nbrs, int t)
 {
     uint64_t m[MAXN + 1], suf[MAXN + 2], pre = 0;
     suf[nseg] = 0;
     for (int s = 0; s < nseg; s++) {
         nok[s] = ok[s] & unplaced & (s == t || s == t - 1 ? ~0ULL : ~nbrs);
-        m[s] = slots[s] ? nok[s] : 0;
+        m[s] = left[s] ? nok[s] : 0;
     }
     for (int s = nseg - 1; s >= 0; s--)
         suf[s] = suf[s + 1] | m[s]; /* suf[s]: the union of m[s..] */
@@ -106,7 +106,7 @@ static int hall(int nseg, const uint64_t *ok, uint64_t *nok, const int *slots, u
         uint64_t inner = 0;
         for (int j = i, cap = 0; j < nseg; j++) {
             inner |= m[j];
-            cap += slots[j];
+            cap += left[j];
             if (__builtin_popcountll(inner & ~(pre | suf[j + 1])) > cap)
                 return 0;
         }
@@ -126,9 +126,11 @@ static int past(double deadline, const volatile int *stop)
 /* Searches positions in color order; step[d] is the base segment of
  * the d-th position, in 0..n-1. Vertex v's segment is base segments
  * lo[v] .. lo[v] + width[v] - 1. On BW_YES, path[d] is the vertex
- * placed at step d. out[0] gets the states visited, the root included;
- * each state but the root has a key in the table. The clock and the
- * stop flag are read before the root and then every 1024 states. */
+ * placed at step d. left[s], kept on push and pop, counts the steps
+ * after the current depth with base segment s: hall's steps left.
+ * out[0] gets the states visited, the root included; each state but
+ * the root has a key in the table. The clock and the stop flag are
+ * read before the root and then every 1024 states. */
 int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const int *step,
            uint64_t max_states, double deadline, const volatile int *stop, int *path,
            uint64_t *out)
@@ -136,7 +138,7 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
     uint64_t late[MAXN], ok[MAXN + 1][MAXN];
     uint64_t key[MAXN + 1], rem[MAXN + 1], assigned = 0, states = 1;
     uint64_t all = (1ULL << n) - 1;
-    int slots[MAXN + 1][MAXN + 1] = {{0}}, nseg = 0;
+    int left[MAXN] = {0}, nseg = 0;
     int depth = 0, status;
     for (int t = 0; t < n; t++) {
         ok[0][t] = late[t] = 0;
@@ -148,12 +150,8 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
         }
         if (step[t] >= nseg)
             nseg = step[t] + 1;
-    }
-    /* slots[d][s]: steps at index >= d with base segment s */
-    for (int d = n - 1; d >= 0; d--) {
-        for (int s = 0; s < nseg; s++)
-            slots[d][s] = slots[d + 1][s];
-        slots[d][step[d]]++;
+        if (t > 0)
+            left[step[t]]++;
     }
     table tb = {calloc(1024, sizeof(uint64_t)), 1023};
     key[0] = 0;
@@ -172,7 +170,7 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
                 status = BW_NO;
                 goto done;
             }
-            depth--;
+            left[step[depth--]]++;
             assigned &= ~(1ULL << path[depth]);
             continue;
         }
@@ -184,8 +182,7 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
         uint64_t *slot = find(&tb, child);
         if (*slot == child)
             continue;
-        if (!hall(nseg, ok[depth], ok[depth + 1], slots[depth + 1], all & ~(assigned | 1ULL << v),
-                  adj[v], t))
+        if (!hall(nseg, ok[depth], ok[depth + 1], left, all & ~(assigned | 1ULL << v), adj[v], t))
             continue;
         if (states >= max_states) {
             status = BW_UNKNOWN;
@@ -208,6 +205,7 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
             status = BW_UNKNOWN;
             goto done;
         }
+        left[step[depth]]--;
         rem[depth] = ok[depth][step[depth]];
     }
 done:

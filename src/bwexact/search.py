@@ -92,8 +92,8 @@ class SearchPlan:
 
     order[d] is the position filled at depth d (geometry.color_order),
     step[d] its base segment, width[v] the width of v's segment, adj[v]
-    v's neighbours as a bitmask, and slots[d][s] the number of steps at
-    depth >= d with base segment s (each row ends in an extra 0).
+    v's neighbours as a bitmask, and left[s] the steps after the root's
+    with base segment s, which a run copies and keeps for its depth.
     """
 
     def __init__(self, g: Graph, b: int, tree: RootedTree) -> None:
@@ -102,12 +102,9 @@ class SearchPlan:
         self.step = [segment_of(p, b) for p in self.order]
         self.width = [segment_width(tree, v) for v in range(g.n)]
         self.adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
-        rows = [[0] * (max(self.step, default=-1) + 2)]
-        for t in reversed(self.step):
-            row = rows[-1][:]
-            row[t] += 1
-            rows.append(row)
-        self.slots = rows[::-1]
+        self.left = [0] * (max(self.step, default=-1) + 1)
+        for t in self.step[1:]:
+            self.left[t] += 1
 
 
 def dfs_decide(
@@ -129,15 +126,18 @@ def dfs_decide(
     keyed by 3 bits per vertex, 0 for unassigned, else 1 + the offset of
     its base segment inside its segment. The candidates at a step with
     base segment t are the unassigned vertices of the Hall mask ok[t]
-    (see _hall_child), lowest first.
+    (see _hall_child), lowest first. The clock is read before each Hall
+    test, so a run whose tests all fail still stops at its deadline.
     """
     stats = SearchStats(states_visited=1)
     if time.monotonic() > deadline:
         return UNKNOWN, None, stats
     n = plan.g.n
-    adj, step, slots = plan.adj, plan.step, plan.slots
-    hi = [l + w for l, w in zip(lo, plan.width)]
-    ok = [sum(1 << v for v in range(n) if lo[v] <= s < hi[v]) for s in range(len(slots[0]) - 1)]
+    adj, step, left = plan.adj, plan.step, plan.left[:]
+    ok = [0] * len(left)
+    for v, (l, w) in enumerate(zip(lo, plan.width)):
+        for s in range(max(l, 0), min(l + w, len(ok))):
+            ok[s] |= 1 << v
     # late[s]: the vertices in no mask up to s. A neighbour placed at s
     # leaves them no base segment, so _hall_child would drop that child.
     late, seen = [], 0
@@ -162,8 +162,10 @@ def dfs_decide(
                 child = key | (1 + t - lo[v]) << (3 * v)
                 if child in visited:
                     continue
+                if time.monotonic() > deadline:
+                    return UNKNOWN, None, stats
                 rest = unplaced ^ bit
-                child_ok = _hall_child(ok, rest, adj[v], t, slots[depth + 1])
+                child_ok = _hall_child(ok, rest, adj[v], t, left)
                 if child_ok is None:
                     continue
                 if len(visited) >= max_states:
@@ -176,15 +178,15 @@ def dfs_decide(
                     for p, u in zip(plan.order, path):
                         pos[u] = p
                     return YES, _checked(plan.g, plan.b, pos, "python"), stats
-                if time.monotonic() > deadline:
-                    return UNKNOWN, None, stats
                 top[2], unplaced = rem, rest
+                left[step[depth + 1]] -= 1
                 stack.append([child, child_ok, child_ok[step[depth + 1]] & rest])
                 break
             else:
                 stack.pop()
                 if path:
                     unplaced |= 1 << path.pop()
+                    left[t] += 1
     except MemoryError:
         return UNKNOWN, None, stats
     return NO, None, stats
@@ -234,7 +236,7 @@ def _checked(g: Graph, b: int, pos: list[int], kernel: str) -> list[int]:
     return pos
 
 
-def _hall_child(ok, unplaced, nbrs, t, slots):
+def _hall_child(ok, unplaced, nbrs, t, left):
     """The child's masks, or None when the child state fails the
     Hall-count test over every window of base segments; hall() in
     _kernel.c states the rule. ok[s] holds the parent's unassigned
@@ -243,8 +245,9 @@ def _hall_child(ok, unplaced, nbrs, t, slots):
     assigned ones that are masked off with `unplaced`, the child's
     unassigned set; so the child's candidates at a step with base
     segment s are in its ok[s] & unplaced. nbrs is the placed vertex's
-    neighbours and t its base segment. The masks are copied only when
-    the placed vertex has unassigned neighbours.
+    neighbours, t its base segment and left[s] the steps after the child
+    with base segment s. The masks are copied only when the placed
+    vertex has unassigned neighbours.
 
     Only the live segments (those with steps left) are walked, since a
     window holds the same vertices and steps as the live segments inside
@@ -264,7 +267,7 @@ def _hall_child(ok, unplaced, nbrs, t, slots):
     live = []  # (mask, steps, union of the later masks) per live segment
     later = 0
     for s in range(len(nok) - 1, -1, -1):
-        c = slots[s]
+        c = left[s]
         if c:
             m = nok[s] & unplaced
             live.append((m, c, later))
@@ -276,12 +279,12 @@ def _hall_child(ok, unplaced, nbrs, t, slots):
     for i, (first, _, _) in enumerate(live):
         if not first & ~pre:
             continue  # no A(w) starts at i
-        left = (unplaced & ~pre).bit_count()
+        todo = (unplaced & ~pre).bit_count()
         inner = cap = 0
         for m, c, later in live[i:]:
             inner |= m
             cap += c
-            if cap >= left:
+            if cap >= todo:
                 break
             if (inner & ~(pre | later)).bit_count() > cap:
                 return None

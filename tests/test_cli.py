@@ -220,7 +220,7 @@ class TestAnalyzeCmd:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["13", "0", "False", "0", "False"]
+        assert proc.stdout.split() == ["12", "0", "False", "0", "False"]
 
 
 class TestGenCmd:

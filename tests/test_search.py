@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import time
+import tracemalloc
 import types
 from unittest import mock
 
@@ -209,18 +210,42 @@ class TestDfsDecide:
 
     def test_interleaved_trees_get_their_own_plan(self):
         # Runs over two spanning trees of one graph, in mixed order, each
-        # with its tree's plan: a plan carries nothing from run to run.
+        # with its tree's plan: a plan carries nothing from run to run,
+        # and its count of steps left is the same after its runs.
         g = generate("random_gnp", 8, 0.4, seed=4)
-        runs = [
-            (plan, lo)
-            for plan in (SearchPlan(g, 3, spanning_tree(g, 0)), SearchPlan(g, 3, spanning_tree(g, 5)))
-            for lo in itertools.islice(enumerate_assignments(g, plan.tree, 3), 20)
-        ]
+        plans = [SearchPlan(g, 3, spanning_tree(g, 0)), SearchPlan(g, 3, spanning_tree(g, 5))]
+        before = [plan.left[:] for plan in plans]
+        runs = [(plan, lo) for plan in plans for lo in itertools.islice(enumerate_assignments(g, plan.tree, 3), 20)]
         random.Random(0).shuffle(runs)
         for plan, lo in runs:
             found, want_pos, _ = unpruned_dfs(g, 3, plan.tree, lo)
             status, pos, _ = dfs_decide(plan, lo)
             assert (status, pos) == (YES if found else NO, want_pos), lo
+        assert [plan.left for plan in plans] == before
+
+    def test_plan_is_linear_in_n(self):
+        # One count per base segment, not one row per depth: the plan for
+        # 10,000 vertices at b = 4 took 160 MiB as a depth-by-segment table.
+        g = generate("caterpillar", 5000, 5000)
+        tree = spanning_tree(g, 0)
+        tracemalloc.start()
+        try:
+            SearchPlan(g, 4, tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    @pytest.mark.parametrize("k", [2000, 5000])
+    def test_large_run_honours_deadline(self, k):
+        # caterpillar(k, k) has 2k vertices, so the Python loop runs it.
+        # Its first run's Hall tests drop every root candidate; read only
+        # after a new state, the clock let that run go on for 1-9 s.
+        g = generate("caterpillar", k, k)
+        start = time.monotonic()
+        res = decide(g, 4, Budget(max_seconds=0.3))
+        assert res.status == UNKNOWN
+        assert time.monotonic() - start < 0.8
 
 
 def outcome(out):
