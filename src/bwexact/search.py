@@ -125,9 +125,11 @@ def dfs_decide(
     This is bw_dfs's loop in Python: the same states in the same order,
     keyed by 3 bits per vertex, 0 for unassigned, else 1 + the offset of
     its base segment inside its segment. The candidates at a step with
-    base segment t are the unassigned vertices of the Hall mask ok[t]
-    (see _hall_child), lowest first. The clock is read before each Hall
-    test, so a run whose tests all fail still stops at its deadline.
+    base segment t are the unassigned vertices of the Hall mask ok[t],
+    lowest first; hall() in _kernel.c states the rule that keeps the
+    masks and drops a child, and _hall_child runs it. The clock is read
+    before each Hall test, so a run whose tests all fail still stops at
+    its deadline.
     """
     stats = SearchStats(states_visited=1)
     if time.monotonic() > deadline:
@@ -238,24 +240,16 @@ def _checked(g: Graph, b: int, pos: list[int], kernel: str) -> list[int]:
 
 def _hall_child(ok, unplaced, nbrs, t, left):
     """The child's masks, or None when the child state fails the
-    Hall-count test over every window of base segments; hall() in
-    _kernel.c states the rule. ok[s] holds the parent's unassigned
-    vertices that may still take base segment s (s lies in their
-    segment and every assigned neighbour holds s or s+1), plus bits of
-    assigned ones that are masked off with `unplaced`, the child's
-    unassigned set; so the child's candidates at a step with base
-    segment s are in its ok[s] & unplaced. nbrs is the placed vertex's
-    neighbours, t its base segment and left[s] the steps after the child
-    with base segment s. The masks are copied only when the placed
-    vertex has unassigned neighbours.
+    Hall-count test; hall() in _kernel.c states the rule, and this is
+    its window scan. ok, left, t and `unplaced`, the child's unassigned
+    set, are as there, nbrs is the placed vertex's neighbours, and ok[s]
+    may also hold bits of assigned vertices, which `unplaced` masks off.
 
-    Only the live segments (those with steps left) are walked, since a
-    window holds the same vertices and steps as the live segments inside
-    it. Windows that cannot fail unless another one does are skipped:
-    those starting at a segment where no A(w) starts (dropping that
-    segment keeps the vertices and loses steps), and those from i whose
-    steps already reach the unassigned vertices not in the segments
-    before i (no window from i holds more vertices)."""
+    Two devices keep it cheap in Python. Only the live segments (those
+    with steps left) are walked, each with the union of the live masks
+    after it, since a window holds the same vertices and steps as the
+    live segments inside it. The masks are copied only when the placed
+    vertex has unassigned neighbours."""
     near = nbrs & unplaced
     if near:
         nok = [m & ~near for m in ok]
@@ -277,15 +271,10 @@ def _hall_child(ok, unplaced, nbrs, t, left):
     live.reverse()
     pre = 0  # the union of the masks before window start i
     for i, (first, _, _) in enumerate(live):
-        if not first & ~pre:
-            continue  # no A(w) starts at i
-        todo = (unplaced & ~pre).bit_count()
         inner = cap = 0
         for m, c, later in live[i:]:
             inner |= m
             cap += c
-            if cap >= todo:
-                break
             if (inner & ~(pre | later)).bit_count() > cap:
                 return None
         pre |= first

@@ -94,11 +94,11 @@ def decide(
         raise GraphError(f"decide requires an integer b with 1 <= b < n, got b={b!r}, n={g.n}")
     if budget is None:
         budget = Budget()
-    tree = spanning_tree(g, 0)  # raises on disconnected input
     if deadline is None:
         deadline = budget.deadline()
     elif math.isnan(deadline):  # no clock is ever past NaN, so the search would never stop
         raise ValueError("deadline must not be NaN")
+    tree = spanning_tree(g, 0)  # raises on disconnected input
     roots = root_choices(g.n, b)
     if workers == 1 or c_kernel_for(g.n) is None:
         return walk(g, b, tree, roots, budget.max_states, deadline)

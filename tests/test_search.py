@@ -1,10 +1,13 @@
 import ctypes
 import itertools
+import json
 import math
+import os
 import random
 import re
 import shutil
 import subprocess
+import sys
 import time
 import tracemalloc
 import types
@@ -44,6 +47,10 @@ from bwexact.search import (
     WitnessError,
     dfs_decide,
 )
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+UBSAN = ["-fsanitize=undefined,bounds", "-fno-sanitize-recover=all"]
 
 
 def p2_assignment():
@@ -247,6 +254,16 @@ class TestDfsDecide:
         assert res.status == UNKNOWN
         assert time.monotonic() - start < 0.8
 
+    def test_frontier_decide_on_python_loop(self):
+        # n = 22 is past the compiled kernel's MAXN, so the Python loop
+        # proves this "no" at the graph's lower bound, unpatched.
+        g = generate("random_gnp", 22, 0.2, seed=2)
+        assert solve.lower_bound(g) == 6
+        res = decide(g, 6)
+        stats = res.stats
+        assert (res.status, stats.runs, stats.states_total, stats.states_max_run, stats.kernel) == \
+            (NO, 74, 25_036, 4_962, "python")
+
 
 def outcome(out):
     status, pos, stats = out
@@ -299,6 +316,13 @@ def acceptance_corpus():
     n <= 5 and 200 seeded G(n, 0.4), n in 6..8."""
     graphs = [g for n in range(2, 6) for g in connected_graphs(n)]
     return graphs + [generate("random_gnp", 6 + i % 3, 0.4, seed=10_000 + i) for i in range(200)]
+
+
+def corpus_answers():
+    """c_decide's record, as a dict, for every graph of the acceptance
+    corpus and every b: status, ordering and counters."""
+    return [search.c_decide(g, b, spanning_tree(g, 0), root_choices(g.n, b)).to_dict()
+            for g in acceptance_corpus() for b in range(1, g.n)]
 
 
 @pytest.fixture(scope="module")
@@ -513,6 +537,51 @@ class TestHallWindows:
         assert res.bandwidth == 3
         assert res.stats["states_total"] <= 1_000
 
+    def test_windows_are_all_of_halls_condition(self):
+        # Inputs built as the kernels build them: each vertex's mask bits
+        # form an interval of base segments, and some segments have no
+        # step left. The child is dropped exactly when no matching places
+        # each unassigned vertex at its own step left, at a segment whose
+        # child mask holds it; kept, it gets the parent's masks with the
+        # unassigned neighbours cleared outside t - 1 and t.
+        rng = random.Random(0)
+        kept = 0
+        for _ in range(2000):
+            nseg, n = rng.randint(1, 6), rng.randint(1, 7)
+            ok = [0] * nseg
+            for w in range(n):
+                first = rng.randrange(nseg)
+                for s in range(first, rng.randint(first, nseg)):
+                    ok[s] |= 1 << w
+            unplaced, nbrs, t = rng.getrandbits(n), rng.getrandbits(n), rng.randrange(nseg)
+            left = [rng.choice((0, 0, 1, 1, 2)) for _ in range(nseg)]
+            want = [m if s in (t - 1, t) else m & ~(nbrs & unplaced) for s, m in enumerate(ok)]
+            got = search._hall_child(ok, unplaced, nbrs, t, left)
+            assert got == (want if has_matching(want, unplaced, left) else None), (ok, unplaced, nbrs, t, left)
+            kept += got is not None
+        assert 500 < kept < 1500  # both answers come up often
+
+
+def has_matching(masks, unplaced, left):
+    """Whether each vertex of `unplaced` can take its own one of the
+    left[s] steps at some segment s with the vertex in masks[s], by
+    trying every choice."""
+    todo = [w for w in range(unplaced.bit_length()) if unplaced >> w & 1]
+    free = list(left)
+
+    def place(k):
+        if k == len(todo):
+            return True
+        for s, m in enumerate(masks):
+            if free[s] and m >> todo[k] & 1:
+                free[s] -= 1
+                if place(k + 1):
+                    return True
+                free[s] += 1
+        return False
+
+    return place(0)
+
 
 class TestKernelSource:
     def test_compiles_without_warnings(self, tmp_path):
@@ -554,6 +623,35 @@ class TestKernelSource:
         assert search._c_kernel().maxn == source_maxn()
         assert search.c_kernel_for(source_maxn()) is not None
         assert search.c_kernel_for(source_maxn() + 1) is None
+
+    @pytest.mark.usefixtures("compiled_kernel")
+    def test_sanitized_build_gives_same_answers(self, tmp_path):
+        # The kernel built with UBSan, through the package's own loader: a
+        # `cc` first on PATH adds the flags, and a copy of the source keeps
+        # the library out of the package's __pycache__. Undefined behaviour
+        # aborts the subprocess, which fails this test alone.
+        cc = shutil.which("cc") or shutil.which("gcc")
+        probe = subprocess.run([cc, *UBSAN, "-shared", "-fPIC", "-o", str(tmp_path / "probe.so"), search._KERNEL_SOURCE],
+                               capture_output=True, timeout=120)
+        if probe.returncode != 0:
+            pytest.skip("the C compiler cannot build with UBSan")
+        (tmp_path / "bin").mkdir()
+        (tmp_path / "src").mkdir()
+        wrapper = tmp_path / "bin" / "cc"
+        wrapper.write_text(f'#!/bin/sh\nexec "{cc}" {" ".join(UBSAN)} "$@"\n')
+        wrapper.chmod(0o755)
+        source = tmp_path / "src" / "_kernel.c"
+        shutil.copy(search._KERNEL_SOURCE, source)
+        script = ("import json, sys\nfrom bwexact import search\nsearch._KERNEL_SOURCE = sys.argv[1]\n"
+                  "import test_search\nprint(json.dumps(test_search.corpus_answers()))\n")
+        env = {**os.environ, "PATH": os.pathsep.join([str(tmp_path / "bin"), os.environ.get("PATH", "")]),
+               "PYTHONPATH": os.pathsep.join([SRC, TESTS])}
+        proc = subprocess.run([sys.executable, "-c", script, str(source)],
+                              capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        (lib,) = (tmp_path / "src" / "__pycache__").iterdir()
+        assert b"__ubsan_handle" in lib.read_bytes()
+        assert json.loads(proc.stdout) == corpus_answers()
 
 
 def source_maxn():

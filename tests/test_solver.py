@@ -126,6 +126,17 @@ class TestDecide:
         with pytest.raises(ValueError, match="NaN"):
             decide(generate("path", 6), 1, deadline=float("nan"))
 
+    def test_budget_clock_starts_at_call(self, monkeypatch):
+        # max_seconds counts from the call, so growing the spanning tree
+        # spends the budget too.
+        def slow_tree(g, root):
+            time.sleep(0.2)
+            return spanning_tree(g, root)
+
+        monkeypatch.setattr(solve, "spanning_tree", slow_tree)
+        res = decide(generate("path", 8), 1, Budget(max_seconds=0.1))
+        assert (res.status, res.stats.runs) == (UNKNOWN, 0)
+
     def test_prune_matches_unpruned(self):
         # decide streams with the edge-distance prune on g: it must keep
         # exactly the assignments that pass edge_filter, in stream order.
