@@ -18,6 +18,15 @@
  * keys, so n is at most MAXN, the 3-bit fields a uint64_t holds. Python
  * reads the limit from bw_maxn, so MAXN is its only copy.
  *
+ * Twin leaves, two leaves of the tree with the same parent and the same
+ * neighbours besides each other, hold the same segment in every run,
+ * and swapping them maps each ordering to one of the same bandwidth. So
+ * a twin is a candidate only once its nearest lower-id twin is placed:
+ * twin[v] holds that twin's bit, 0 for none. The first witness already
+ * keeps twins in id order (a lower twin free at the same step is tried
+ * first, and the swapped witness lies under it), so the rule changes no
+ * answer and no witness, only the states.
+ *
  * Both functions take a stop flag, `stop`, next to the deadline: when
  * it is not NULL and *stop is nonzero, they stop as if the deadline had
  * passed. It is read wherever the clock is. Another thread sets it once
@@ -128,12 +137,14 @@ static int past(double deadline, const volatile int *stop)
  * lo[v] .. lo[v] + width[v] - 1. On BW_YES, path[d] is the vertex
  * placed at step d. left[s], kept on push and pop, counts the steps
  * after the current depth with base segment s: hall's steps left.
+ * twin[v] is the bit of v's nearest lower-id twin, 0 for none; v is a
+ * candidate only once that twin is assigned.
  * out[0] gets the states visited, the root included; each state but
  * the root has a key in the table. The clock and the stop flag are
  * read before the root and then every 1024 states. */
-int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const int *step,
-           uint64_t max_states, double deadline, const volatile int *stop, int *path,
-           uint64_t *out)
+int bw_dfs(int n, const uint64_t *adj, const uint64_t *twin, const int *lo, const int *width,
+           const int *step, uint64_t max_states, double deadline, const volatile int *stop,
+           int *path, uint64_t *out)
 {
     uint64_t late[MAXN], ok[MAXN + 1][MAXN];
     uint64_t key[MAXN + 1], rem[MAXN + 1], assigned = 0, states = 1;
@@ -176,7 +187,7 @@ int bw_dfs(int n, const uint64_t *adj, const int *lo, const int *width, const in
         }
         int v = __builtin_ctzll(rem[depth]), t = step[depth];
         rem[depth] &= rem[depth] - 1;
-        if (adj[v] & ~assigned & late[t])
+        if (((adj[v] & late[t]) | twin[v]) & ~assigned) /* an unassigned late neighbour or lower twin */
             continue;
         uint64_t child = key[depth] | (uint64_t)(1 + t - lo[v]) << (3 * v);
         uint64_t *slot = find(&tb, child);
@@ -240,13 +251,15 @@ static int fits(int n, int b, int c, int w, uint64_t nbrs, const int *lo, const 
  * pos[v] is v's position, or BW_UNKNOWN from any stop (cap, deadline,
  * stop flag, out of memory). BW_NO once every run said no. out[0] gets
  * the runs, out[1] the states of all runs, out[2] the most states in
- * one run. */
+ * one run. Each leaf's twin bit for bw_dfs (see the top) is found once,
+ * before the walk, from adj, parent and the widths: a twin shares the
+ * parent, so it shares the segment in every run. */
 int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *parent,
               int root_lo, int root_hi, uint64_t max_states, double deadline,
               const volatile int *stop, int *pos, uint64_t *out)
 {
     int width[MAXN], step[MAXN], seq[MAXN], lo[MAXN], path[MAXN], next[MAXN], last[MAXN];
-    uint64_t earlier[MAXN], seen = 0, states;
+    uint64_t earlier[MAXN], twin[MAXN], seen = 0, states;
     int k = 0, d;
     for (d = 0; d < n; d++) { /* a parent comes before its children in preorder */
         width[order[d]] = 4;
@@ -254,6 +267,13 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
             width[parent[order[d]]] = 2;
         earlier[d] = adj[order[d]] & seen; /* the neighbours before d in preorder */
         seen |= 1ULL << order[d];
+    }
+    for (int v = 0; v < n; v++) { /* v's nearest lower-id twin leaf, if any */
+        twin[v] = 0;
+        for (int u = v - 1; u >= 0 && width[v] == 4 && twin[v] == 0; u--)
+            if (width[u] == 4 && parent[u] == parent[v]
+                && (adj[u] & ~(1ULL << v)) == (adj[v] & ~(1ULL << u)))
+                twin[v] = 1ULL << u;
     }
     for (int c = 0; c <= b; c++) /* positions by (color, base segment) */
         for (int p = c; p < n; p += b + 1, k++) {
@@ -280,7 +300,7 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
             last[d] = next[d] + (width[u] == 4 ? 0 : 2);
             continue;
         }
-        int status = bw_dfs(n, adj, lo, width, step, max_states, deadline, stop, path, &states);
+        int status = bw_dfs(n, adj, twin, lo, width, step, max_states, deadline, stop, path, &states);
         out[0]++;
         out[1] += states;
         out[2] = states > out[2] ? states : out[2];

@@ -7,8 +7,9 @@ left/right choice for inner vertices. An assignment is its lo vector,
 lo[v] being the first base segment of v's segment; the widths follow
 from the tree. The stream is lazy, one assignment at a time in
 polynomial space. The root's choice is the outermost loop, so the
-stream falls into parts, one per root lo from -1 up; a parallel decide
-shares them out. Where solve.walk hands a part to the compiled kernel
+stream falls into parts, one per root lo from -1 up; decide walks
+only a prefix of them (solve.root_prefix), and a parallel decide
+shares that out. Where solve.walk hands a part to the compiled kernel
 (bw_decide in _kernel.c), the kernel walks it itself; this generator
 feeds the Python loop, and the tests.
 """

@@ -94,6 +94,11 @@ class SearchPlan:
     step[d] its base segment, width[v] the width of v's segment, adj[v]
     v's neighbours as a bitmask, and left[s] the steps after the root's
     with base segment s, which a run copies and keeps for its depth.
+    twin[v] is v's nearest lower-id twin, or -1 for none: the twin rule
+    of _kernel.c, whose bw_decide finds the same twins by a pair scan.
+    Twins are leaves of one parent, so each parent's leaves are grouped
+    by neighbourhood, open (twins not adjacent) and closed (adjacent),
+    one parent at a time: one id per vertex is all that stays.
     """
 
     def __init__(self, g: Graph, b: int, tree: RootedTree) -> None:
@@ -105,6 +110,15 @@ class SearchPlan:
         self.left = [0] * (max(self.step, default=-1) + 1)
         for t in self.step[1:]:
             self.left[t] += 1
+        self.twin = [-1] * g.n
+        for kids in tree.children:
+            latest = {}  # a neighbourhood -> the latest leaf of this parent with it
+            for v in kids:
+                if not tree.children[v]:
+                    near = frozenset(g.adj[v])
+                    closed = near | {v}
+                    self.twin[v] = latest.get(near, latest.get(closed, -1))
+                    latest[near] = latest[closed] = v
 
 
 def dfs_decide(
@@ -126,7 +140,8 @@ def dfs_decide(
     keyed by 3 bits per vertex, 0 for unassigned, else 1 + the offset of
     its base segment inside its segment. The candidates at a step with
     base segment t are the unassigned vertices of the Hall mask ok[t],
-    lowest first; hall() in _kernel.c states the rule that keeps the
+    lowest first, less each one whose nearest lower twin (plan.twin) is
+    unassigned; hall() in _kernel.c states the rule that keeps the
     masks and drops a child, and _hall_child runs it. The clock is read
     before each Hall test, so a run whose tests all fail still stops at
     its deadline.
@@ -135,7 +150,7 @@ def dfs_decide(
     if time.monotonic() > deadline:
         return UNKNOWN, None, stats
     n = plan.g.n
-    adj, step, left = plan.adj, plan.step, plan.left[:]
+    adj, twin, step, left = plan.adj, plan.twin, plan.step, plan.left[:]
     ok = [0] * len(left)
     for v, (l, w) in enumerate(zip(lo, plan.width)):
         for s in range(max(l, 0), min(l + w, len(ok))):
@@ -160,6 +175,9 @@ def dfs_decide(
                 rem ^= bit
                 v = bit.bit_length() - 1
                 if adj[v] & unplaced & late[t]:
+                    continue
+                lower = twin[v]
+                if lower >= 0 and unplaced >> lower & 1:
                     continue
                 child = key | (1 + t - lo[v]) << (3 * v)
                 if child in visited:
@@ -326,7 +344,9 @@ def _c_kernel():
 def _compile_kernel(source: str, lib: str) -> bool:
     """Build `lib` from `source` with the system C compiler; False on
     any failure. The library appears under its final name only once
-    complete, so concurrent builders never load a partial file."""
+    complete, so concurrent builders never load a partial file. Once it
+    is in place, the builds of other source versions beside it are
+    deleted: none of them is ever loaded again."""
     import subprocess  # only a build needs it; the package import stays lean
 
     cc = shutil.which("cc") or shutil.which("gcc")
@@ -344,4 +364,9 @@ def _compile_kernel(source: str, lib: str) -> bool:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         return False
+    folder, name = os.path.split(lib)
+    for other in os.listdir(folder):
+        if other != name and other.startswith("_kernel-") and other.endswith(".so"):
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(folder, other))
     return True

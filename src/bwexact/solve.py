@@ -73,19 +73,28 @@ def decide(
     tree grown from vertex 0 (graph.spanning_tree) that passes the edge
     filter, in stream order. The stream falls into parts by the root's
     segment, lo[root] = -1, 0, ... (see assignments), each computed by
-    walk. A serial decide walks the whole stream. With `workers` above
-    1 and the compiled kernel, up to that many threads walk one part
-    each at a time (a compiled call releases the GIL), and the parts
-    are taken back in stream order, so the answer, witness and counters
-    are the same; once the answer is known, a stop flag ends the parts
-    still running. The Python loop (see walk) gains nothing from
-    threads and runs serially whatever `workers` says. The first run
-    that does not answer "no" is the answer: "yes" with its witness, or
-    "unknown" when it stopped on the state cap, the deadline or out of
-    memory, and no later run is searched (a "yes" after a capped run is
-    not looked for). "no" means every accepted assignment was exhausted.
-    `deadline` is an absolute time.monotonic() instant (NaN is refused);
-    without one, the budget's max_seconds counts from now.
+    walk. Only the parts of root_prefix(n, b) are walked: reversing an
+    ordering (p -> n+1-p) keeps its bandwidth, so if any b-ordering
+    exists, one puts the root at a position up to ceil(n/2), and every
+    assignment consistent with it has its root's lo in the prefix. So a
+    "no" needs only the prefix, and the full stream's first "yes" lies
+    in it, after the same runs.
+
+    A serial decide walks the prefix at once. With `workers` above 1 and
+    the compiled kernel, up to that many threads walk one part each at
+    a time (a compiled call releases the GIL), and the parts are taken
+    back in stream order, so the answer, witness and counters are the
+    same; once the answer is known, a stop flag ends the parts still
+    running. The Python loop (see walk) gains nothing from threads and
+    runs serially whatever `workers` says. The first run that does not
+    answer "no" is the answer: "yes" with its witness, or "unknown" when
+    it stopped on the state cap, the deadline or out of memory, and no
+    later run is searched (a "yes" after a capped run is not looked
+    for). "no" means every accepted assignment of the prefix was
+    exhausted; under a cap it can thus prove "no" where the full stream
+    would have stopped at a capped run past the prefix. `deadline` is
+    an absolute time.monotonic() instant (NaN is refused); without one,
+    the budget's max_seconds counts from now.
     """
     _check_workers(workers)
     if g.n < 2:
@@ -99,7 +108,7 @@ def decide(
     elif math.isnan(deadline):  # no clock is ever past NaN, so the search would never stop
         raise ValueError("deadline must not be NaN")
     tree = spanning_tree(g, 0)  # raises on disconnected input
-    roots = root_choices(g.n, b)
+    roots = root_prefix(g.n, b)
     if workers == 1 or c_kernel_for(g.n) is None:
         return walk(g, b, tree, roots, budget.max_states, deadline)
     # Only a parallel decide needs it; it loads logging, which the package import need not.
@@ -114,6 +123,13 @@ def decide(
             stop.value = 1
 
 
+def root_prefix(n: int, b: int) -> range:
+    """The root choices that decide walks: the prefix of
+    root_choices(n, b) whose segments hold a position up to ceil(n/2),
+    lo[root] <= (ceil(n/2) - 1) // (b + 1)."""
+    return range(root_choices(n, b).start, (math.ceil(n / 2) - 1) // (b + 1) + 1)
+
+
 def _check_workers(workers) -> None:
     # ThreadPoolExecutor takes 1.5 as readily as 2, and True as 1.
     if type(workers) is not int or workers < 1:
@@ -122,14 +138,18 @@ def _check_workers(workers) -> None:
 
 def walk(g: Graph, b: int, tree: RootedTree, roots: range, max_states: int,
          deadline: float, stop: ctypes.c_int | None = None) -> DecideResult:
-    """The part of decide's stream whose root lo lies in `roots`, as one
-    DecideResult. This is the one hand-off to phase 2: when
-    c_kernel_for(n) gives the compiled kernel, the part is one c_decide
-    call, which takes `stop`; otherwise it is the Python loop with no
-    stop flag, one dfs_decide per assignment of enumerate_assignments,
-    all reading one SearchPlan, each a one-run record of kernel "python"
-    for _combine. Either way the part ends at its first run that does
-    not answer NO. Past the deadline it answers UNKNOWN after 0 runs."""
+    """The part of the stream whose root lo lies in `roots`, as one
+    DecideResult. decide passes root_prefix(n, b) or one choice of it;
+    any range of root_choices(n, b) is walked alike, so the tests can
+    set the prefix against the whole stream. Both kernels apply the
+    twin rule (see search.SearchPlan). This is the one hand-off to
+    phase 2: when c_kernel_for(n) gives the compiled kernel, the part
+    is one c_decide call, which takes `stop`; otherwise it is the Python
+    loop with no stop flag, one dfs_decide per assignment of
+    enumerate_assignments, all reading one SearchPlan, each a one-run
+    record of kernel "python" for _combine. Either way the part ends at
+    its first run that does not answer NO. Past the deadline it answers
+    UNKNOWN after 0 runs."""
     if time.monotonic() > deadline:
         return DecideResult(UNKNOWN, None, DecideStats())
     if c_kernel_for(g.n) is not None:

@@ -3,7 +3,9 @@ reading rather than speed: the reference that both kernels of
 bwexact.search are checked against. Also the phase-1 edge filter, the
 consistency check of an ordering against a segment assignment, and a
 binding of the compiled per-run kernel bw_dfs, which the package itself
-calls only from inside bw_decide.
+calls only from inside bw_decide, fed the twin masks that bw_decide
+would give it. The reference has no twin rule: the rule may lower the
+states of a run, never change its answer or witness.
 
 A segment assignment is its lo vector over a spanning tree: vertex v
 gets base segments lo[v] .. hi(v) - 1, hi(v) = lo[v] + its width.
@@ -172,12 +174,26 @@ def compiled_dfs(
     return YES, search._checked(g, b, pos, "c"), stats
 
 
+def twin_masks(g: Graph, tree: RootedTree) -> list[int]:
+    """Each vertex's nearest lower-id twin as a bit, 0 for none, by a
+    scan over every pair: leaves u < v of the tree with one parent and
+    N(u) - {v} = N(v) - {u}."""
+    masks = [0] * g.n
+    for v in tree.leaves:
+        for u in range(v - 1, -1, -1):
+            if (tree.is_leaf(u) and tree.parent[u] == tree.parent[v]
+                    and set(g.adj[u]) - {v} == set(g.adj[v]) - {u}):
+                masks[v] = 1 << u
+                break
+    return masks
+
+
 def bw_dfs():
     """The compiled kernel's bw_dfs, its argument types declared."""
     dfs = search._c_kernel().bw_dfs
     u64_p, int_p = ctypes.POINTER(ctypes.c_uint64), ctypes.POINTER(ctypes.c_int)
-    # n, adj, lo, width, step, max_states, deadline, stop, path, out (the states)
-    dfs.argtypes = [ctypes.c_int, u64_p, int_p, int_p, int_p, ctypes.c_uint64, ctypes.c_double,
+    # n, adj, twin, lo, width, step, max_states, deadline, stop, path, out (the states)
+    dfs.argtypes = [ctypes.c_int, u64_p, u64_p, int_p, int_p, int_p, ctypes.c_uint64, ctypes.c_double,
                     int_p, int_p, u64_p]
     dfs.restype = ctypes.c_int
     return dfs
@@ -188,10 +204,10 @@ def _dfs_c(g, b, tree, lo, max_states, deadline, stop=None):
     vertex placed at step d. `stop` is the kernel's stop flag, a
     ctypes.c_int, or None for none."""
     n = g.n
-    ints = ctypes.c_int * n
+    ints, u64s = ctypes.c_int * n, ctypes.c_uint64 * n
     path, states = ints(), ctypes.c_uint64()
     code = bw_dfs()(
-        n, (ctypes.c_uint64 * n)(*(sum(1 << u for u in nbrs) for nbrs in g.adj)), ints(*lo),
+        n, u64s(*(sum(1 << u for u in nbrs) for nbrs in g.adj)), u64s(*twin_masks(g, tree)), ints(*lo),
         ints(*(segment_width(tree, v) for v in range(n))),
         ints(*(segment_of(p, b) for p in color_order(n, b))),
         max(0, min(max_states, (1 << 64) - 1)), deadline, stop, path, ctypes.byref(states),

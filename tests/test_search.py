@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import itertools
 import json
 import math
@@ -30,8 +31,10 @@ from reference_search import (
     extend,
     extend_candidates,
     hi,
+    twin_masks,
     unpruned_dfs,
 )
+from test_solver import oracle_corpus
 
 from bwexact.assignments import enumerate_assignments, root_choices
 from bwexact import search, solve
@@ -243,6 +246,18 @@ class TestDfsDecide:
             tracemalloc.stop()
         assert peak < 16 << 20
 
+    def test_plan_twins_match_pair_scan(self):
+        # The plan groups each parent's leaves by neighbourhood; bw_decide
+        # and the reference scan every pair. The acceptance corpus holds
+        # twins that are adjacent (K4's leaves) and ones that are not.
+        kinds = set()
+        for g in acceptance_corpus() + twin_corpus():
+            tree = spanning_tree(g, 0)
+            twin = SearchPlan(g, 1, tree).twin
+            assert twin == [m.bit_length() - 1 for m in twin_masks(g, tree)], sorted(g.edges)
+            kinds |= {v in g.adj[u] for v, u in enumerate(twin) if u >= 0}
+        assert kinds == {True, False}
+
     @pytest.mark.parametrize("k", [2000, 5000])
     def test_large_run_honours_deadline(self, k):
         # caterpillar(k, k) has 2k vertices, so the Python loop runs it.
@@ -256,13 +271,14 @@ class TestDfsDecide:
 
     def test_frontier_decide_on_python_loop(self):
         # n = 22 is past the compiled kernel's MAXN, so the Python loop
-        # proves this "no" at the graph's lower bound, unpatched.
+        # proves this "no" at the graph's lower bound, unpatched, over the
+        # root prefix (74 runs and 25,036 states over the whole stream).
         g = generate("random_gnp", 22, 0.2, seed=2)
         assert solve.lower_bound(g) == 6
         res = decide(g, 6)
         stats = res.stats
         assert (res.status, stats.runs, stats.states_total, stats.states_max_run, stats.kernel) == \
-            (NO, 74, 25_036, 4_962, "python")
+            (NO, 49, 20_787, 4_962, "python")
 
 
 def outcome(out):
@@ -318,6 +334,24 @@ def acceptance_corpus():
     return graphs + [generate("random_gnp", 6 + i % 3, 0.4, seed=10_000 + i) for i in range(200)]
 
 
+def twin_corpus():
+    """Seeded random trees and caterpillars whose spanning tree holds a
+    twin pair, so that the twin rule fires: the first two seeds with one
+    for each n of 6..10 in both families, and the first for random trees
+    with n = 11 and 12. The unpruned reference takes 0.6-3.6 s on each
+    graph with n >= 11, so there are no more of them."""
+    picks = ([("random_tree", (n,), 2) for n in range(6, 11)]
+             + [("caterpillar", (n // 3, n - n // 3), 2) for n in range(6, 11)]
+             + [("random_tree", (11,), 1), ("random_tree", (12,), 1)])
+    graphs = []
+    for family, params, count in picks:
+        seeded = (generate(family, *params, seed=seed) for seed in range(100))
+        found = list(itertools.islice((g for g in seeded if any(twin_masks(g, spanning_tree(g, 0)))), count))
+        assert len(found) == count, (family, params)
+        graphs += found
+    return graphs
+
+
 def corpus_answers():
     """c_decide's record, as a dict, for every graph of the acceptance
     corpus and every b: status, ordering and counters."""
@@ -361,6 +395,23 @@ class TestKernelEquivalence:
         g = generate("random_gnp", n, p, seed=seed)
         b = data.draw(st.integers(1, n - 1))
         assert_kernels_agree(g, b, limit=40)
+
+    def test_twin_corpus(self, monkeypatch):
+        # Both kernels apply the twin rule, so every run's counters agree;
+        # with the twin masks zeroed, bw_dfs searches without the rule and
+        # visits more states over the corpus.
+        graphs = twin_corpus()
+        compared = sum(assert_kernels_agree(g, b) for g in graphs for b in range(1, g.n))
+        assert compared > 2_000
+
+        def c_states():
+            return sum(c_kernel(g, b, tree, lo)[2].states_visited
+                       for g in graphs for tree in [spanning_tree(g, 0)]
+                       for b in range(1, g.n) for lo in enumerate_assignments(g, tree, b))
+
+        with_rule = c_states()
+        monkeypatch.setattr(reference_search, "twin_masks", lambda g, tree: [0] * g.n)
+        assert with_rule < c_states()
 
     @pytest.mark.parametrize("max_states", [0, 1, 2, 7, 100, 1000])
     def test_state_cap(self, max_states):
@@ -436,8 +487,10 @@ class TestCompiledWalk:
 
     @pytest.mark.parametrize("g, b, budget, status, runs", [
         (generate("path", 16), 1, None, YES, 1_684),
-        (generate("cycle", 17), 1, None, NO, 73_664),
-        (generate("random_tree", 20), 2, None, NO, 28_280),
+        # The two "no"s walk the root prefix: 73,664 and 28,280 runs over
+        # the whole stream.
+        (generate("cycle", 17), 1, None, NO, 48_333),
+        (generate("random_tree", 20), 2, None, NO, 19_240),
         # The 15th run reaches the cap and ends the decide on both walks.
         (generate("random_gnp", 18, 0.2), 3, Budget(max_states=5), UNKNOWN, 15),
     ], ids=["path16", "cycle17", "random_tree20", "gnp18-capped"])
@@ -487,6 +540,25 @@ class TestCompiledWalk:
                 parts += len(roots)
         assert parts == 12_925
 
+    def test_root_prefix_matches_whole_stream(self):
+        # decide walks only root_prefix(n, b). With no cap, the walk over
+        # it gives the whole stream's answer and witness at every b, and
+        # it is decide's record.
+        shorter, statuses = 0, set()
+        for g in itertools.chain(acceptance_corpus(), oracle_corpus()):
+            tree = spanning_tree(g, 0)
+            for b in range(1, g.n):
+                prefix, whole = solve.root_prefix(g.n, b), root_choices(g.n, b)
+                assert prefix.start == whole.start and prefix.stop <= whole.stop
+                part = solve.walk(g, b, tree, prefix, DEFAULT_MAX_STATES, math.inf)
+                full = solve.walk(g, b, tree, whole, DEFAULT_MAX_STATES, math.inf)
+                assert (part.status, part.ordering) == (full.status, full.ordering), (sorted(g.edges), b)
+                assert decide(g, b) == part
+                shorter += part.stats.runs < full.stats.runs
+                statuses.add(part.status)
+        assert statuses == {YES, NO}
+        assert shorter > 1_000
+
     @pytest.mark.parametrize("b", [-1, 0, 5])
     def test_rejects_b_outside_1_to_n(self, b):
         # The walk divides by b + 1 and steps positions by it.
@@ -516,6 +588,11 @@ class TestUnprunedReference:
         g = generate("random_gnp", n, p, seed=seed)
         b = data.draw(st.integers(1, n - 1))
         assert_matches_reference(g, b, limit=40)
+
+    def test_twin_corpus(self):
+        # Trees and caterpillars with twin leaves, the rule's home ground.
+        graphs = twin_corpus()
+        assert sum(assert_matches_reference(g, b) for g in graphs for b in range(1, g.n)) > 2_000
 
 
 class TestHallWindows:
@@ -720,6 +797,22 @@ class TestKernelFallback:
 
         monkeypatch.setattr(search, "_compile_kernel", no_build)
         assert search._c_kernel() is not None
+
+    @pytest.mark.usefixtures("compiled_kernel")
+    def test_new_build_deletes_stale_builds(self, tmp_path, monkeypatch, fresh_loader):
+        # A build for another source version, planted beside a copy of the
+        # source, is never loaded again, so the new build deletes it; a
+        # file that is not a kernel build stays.
+        source = tmp_path / "_kernel.c"
+        shutil.copy(search._KERNEL_SOURCE, source)
+        cache = tmp_path / "__pycache__"
+        cache.mkdir()
+        (cache / "_kernel-0123456789abcdef.so").write_bytes(b"an old build")
+        (cache / "graph.cpython-311.pyc").write_bytes(b"not a kernel")
+        monkeypatch.setattr(search, "_KERNEL_SOURCE", str(source))
+        assert search._c_kernel() is not None
+        digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+        assert sorted(p.name for p in cache.iterdir()) == [f"_kernel-{digest}.so", "graph.cpython-311.pyc"]
 
 
 @pytest.mark.usefixtures("compiled_kernel")
