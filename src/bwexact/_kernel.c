@@ -226,10 +226,11 @@ done:
 }
 
 /* Whether the segment of width w from base segment c holds a position
- * in 1..n and leaves no gap to the segment of any vertex in `nbrs`. */
-static int fits(int n, int b, int c, int w, uint64_t nbrs, const int *lo, const int *width)
+ * in 1..n, that is meets base segments 0 .. nseg - 1, and leaves no gap
+ * to the segment of any vertex in `nbrs`. */
+static int fits(int nseg, int c, int w, uint64_t nbrs, const int *lo, const int *width)
 {
-    if (c * (b + 1) + 1 > n || (c + w) * (b + 1) < 1) /* first position > n, or last < 1 */
+    if (c >= nseg || c + w <= 0)
         return 0;
     for (; nbrs; nbrs &= nbrs - 1) {
         int u = __builtin_ctzll(nbrs);
@@ -241,7 +242,7 @@ static int fits(int n, int b, int c, int w, uint64_t nbrs, const int *lo, const 
 
 /* One decide, or one part of it: runs bw_dfs on every segment assignment
  * over the spanning tree whose root lo lies in root_lo .. root_hi - 1, in
- * the order of assignments.enumerate_assignments, under the rule of
+ * the order of search.enumerate_assignments, under the rule of
  * solve.decide. order is the tree's preorder and parent[v] v's parent
  * (-1 at the root); a vertex with no child has a width-4 segment, any
  * other width 2. The root's lo runs up from root_lo, an inner child's is
@@ -260,7 +261,7 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
 {
     int width[MAXN], step[MAXN], seq[MAXN], lo[MAXN], path[MAXN], next[MAXN], last[MAXN];
     uint64_t earlier[MAXN], twin[MAXN], seen = 0, states;
-    int k = 0, d;
+    int k = 0, d, nseg = (n + b) / (b + 1);
     for (d = 0; d < n; d++) { /* a parent comes before its children in preorder */
         width[order[d]] = 4;
         if (parent[order[d]] >= 0)
@@ -285,7 +286,7 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
     last[0] = root_hi - 1;
     for (d = 0;;) {
         int v = order[d], c = next[d], stride = d ? 2 : 1;
-        while (c <= last[d] && !fits(n, b, c, width[v], earlier[d], lo, width))
+        while (c <= last[d] && !fits(nseg, c, width[v], earlier[d], lo, width))
             c += stride;
         if (c > last[d]) {
             if (d-- == 0)

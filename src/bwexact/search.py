@@ -1,11 +1,35 @@
-"""Phase 2: depth-first search over partial base-segment maps for one
-fixed segment assignment.
+"""The two-phase search of one decide, the Python twin of _kernel.c.
 
-Positions are filled in the color order; a DFS node assigns the next
-color-order position's base segment to one more vertex. Each distinct
-state is expanded at most once per run (visited set keyed by a packed
+Phase 1 (enumerate_assignments; bw_decide's walk in C) streams the
+segment assignments over a rooted spanning tree. Every inner vertex
+gets a width-2 segment, every leaf a width-4 segment, and a child's
+segment is its parent's shifted, up to the left/right choice for
+inner vertices. An assignment is its lo vector, lo[v] being the first
+base segment of v's segment; the widths follow from the tree. Base
+segments are 0-based: base segment t covers positions
+t*(b+1)+1 .. (t+1)*(b+1), clipped to 1..n. The root's choice is the
+outermost loop, so the stream falls into parts, one per root lo from
+-1 up; decide walks only a prefix of them (solve.root_prefix).
+
+Phase 2 (dfs_decide; bw_dfs in C) searches one assignment. Positions
+are filled in the color order; a DFS node assigns the next color-order
+position's base segment to one more vertex. Each distinct state is
+expanded at most once per run (visited set keyed by a packed
 per-vertex code), and a child state whose unassigned vertices can no
 longer all be placed in the steps left is dropped before it is counted.
+
+The formulas both kernels share are written as bw_decide writes them:
+the color order, the base-segment count and the test that a choice's
+segment holds a position. Three things differ from _kernel.c on purpose:
+- SearchPlan keeps a twin id per vertex where bw_dfs takes a twin mask:
+  a Python int of up to n bits per twin makes the masks quadratic in n
+  (103 MiB for star(40,000), whose plan takes 4.1 MiB);
+- dfs_decide builds `late` from the Hall masks, O(nseg) mask
+  operations, where bw_dfs tests every vertex at every base segment,
+  O(n*nseg);
+- _hall_child walks only the live segments and copies the masks only
+  when it must; a line-for-line port of hall() ran 7% slower on
+  caterpillar(11, 11) at b = 2.
 """
 
 from __future__ import annotations
@@ -18,10 +42,9 @@ import math
 import os
 import shutil
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
-from .assignments import segment_width
-from .geometry import color_order, segment_of
 from .graph import Graph, RootedTree, ordering_bandwidth
 
 DEFAULT_MAX_STATES = 1 << 26
@@ -29,6 +52,89 @@ DEFAULT_MAX_STATES = 1 << 26
 YES = "yes"
 NO = "no"
 UNKNOWN = "unknown"
+
+
+def segment_of(p: int, b: int) -> int:
+    """0-based base-segment index of position p."""
+    return (p - 1) // (b + 1)
+
+
+def num_base_segments(n: int, b: int) -> int:
+    """The base segments that hold a position in 1..n."""
+    return (n + b) // (b + 1)
+
+
+def color_order(n: int, b: int) -> tuple[int, ...]:
+    """Positions 1..n by (color, base segment), the color of a position
+    being its 1-based offset inside its base segment: the state search
+    fills positions in exactly this order."""
+    return tuple(p for c in range(1, b + 2) for p in range(c, n + 1, b + 1))
+
+
+def segment_width(tree: RootedTree, v: int) -> int:
+    """Base segments in v's segment: 4 for a leaf, 2 for an inner vertex."""
+    return 4 if tree.is_leaf(v) else 2
+
+
+def root_choices(n: int, b: int) -> range:
+    """Every root lo of the stream: the width-2 segments from lo = -1
+    to the last base segment, the last that holds a position in 1..n."""
+    return range(-1, num_base_segments(n, b))
+
+
+def enumerate_assignments(g: Graph, tree: RootedTree, b: int,
+                          roots: range | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield the lo vector of every candidate segment assignment for
+    the tree that passes the edge-distance condition on g, and whose
+    root lo lies in `roots` (every root choice if None). The stream is
+    lazy, one assignment at a time in polynomial space; where solve.walk
+    hands a part to the compiled kernel, bw_decide walks it itself.
+
+    Vertices are assigned in preorder. The root ranges over the width-2
+    segments from lo = -1 up; an inner child of a segment starting at i
+    gets the left choice (i-1) then the right (i+1); a leaf child is
+    forced to i-1 with width 4. A choice is dropped when its segment
+    holds no position in 1..n (its first base segment c and width w
+    fail c < nseg and c + w > 0, for nseg = num_base_segments(n, b)),
+    or when it leaves a gap to an earlier neighbour's segment: segments
+    (i, j) and (k, l) of an edge must satisfy j >= k and l >= i. The
+    edgeless graph Graph(tree.n, []) gives the unpruned stream.
+    """
+    if b < 1:
+        raise ValueError(f"bandwidth parameter must be >= 1, got {b}")
+    n = tree.n
+    if n < 2 or g.n != n:
+        raise ValueError("tree must span a graph with n >= 2 vertices")
+    nseg = num_base_segments(n, b)
+    order = tree.preorder
+    rank = {v: d for d, v in enumerate(order)}
+    width = [segment_width(tree, v) for v in range(n)]
+    earlier = [[u for u in g.adj[v] if rank[u] < d] for d, v in enumerate(order)]
+    lo = [0] * n
+    # stack[d] holds the untried choices of the vertex at depth d.
+    stack = [iter(root_choices(n, b) if roots is None else roots)]
+    while stack:
+        d = len(stack) - 1
+        v = order[d]
+        w = width[v]
+        for c in stack[d]:
+            if not (c < nseg and c + w > 0):
+                continue
+            for u in earlier[d]:
+                if lo[u] + width[u] < c or c + w < lo[u]:
+                    break
+            else:
+                lo[v] = c
+                break
+        else:
+            stack.pop()
+            continue
+        if d + 1 == n:
+            yield tuple(lo)
+            continue
+        child = order[d + 1]
+        i = lo[tree.parent[child]]
+        stack.append(iter((i - 1,) if tree.is_leaf(child) else (i - 1, i + 1)))
 
 
 class WitnessError(RuntimeError):
@@ -90,7 +196,7 @@ class SearchPlan:
     spanning tree, shared by every run over the same three (see
     solve.walk); the runs only read it.
 
-    order[d] is the position filled at depth d (geometry.color_order),
+    order[d] is the position filled at depth d (color_order),
     step[d] its base segment, width[v] the width of v's segment, adj[v]
     v's neighbours as a bitmask, and left[s] the steps after the root's
     with base segment s, which a run copies and keeps for its depth.
@@ -107,7 +213,7 @@ class SearchPlan:
         self.step = [segment_of(p, b) for p in self.order]
         self.width = [segment_width(tree, v) for v in range(g.n)]
         self.adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
-        self.left = [0] * (max(self.step, default=-1) + 1)
+        self.left = [0] * num_base_segments(g.n, b)
         for t in self.step[1:]:
             self.left[t] += 1
         self.twin = [-1] * g.n
@@ -128,7 +234,7 @@ def dfs_decide(
     deadline: float = math.inf,
 ) -> tuple[str, list[int] | None, SearchStats]:
     """Search for an ordering of bandwidth <= plan.b consistent with the
-    segment assignment lo over plan.tree (see assignments).
+    segment assignment lo over plan.tree (see enumerate_assignments).
 
     Returns (YES, ordering, stats) on success, (NO, None, stats) when
     the state space is exhausted, or (UNKNOWN, None, stats) when a

@@ -11,8 +11,6 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 
-from .assignments import enumerate_assignments, root_choices
-from .geometry import color_order  # noqa: F401 (perfbench/spans.py wraps solve.color_order)
 from .graph import (
     Graph,
     GraphError,
@@ -33,7 +31,10 @@ from .search import (
     WitnessError,
     c_decide,
     c_kernel_for,
+    color_order,  # noqa: F401 (perfbench/spans.py wraps solve.color_order)
     dfs_decide,
+    enumerate_assignments,
+    segment_of,
 )
 
 OPTIMAL = "optimal"
@@ -72,13 +73,13 @@ def decide(
     Searches each segment assignment over the greedy leafy spanning
     tree grown from vertex 0 (graph.spanning_tree) that passes the edge
     filter, in stream order. The stream falls into parts by the root's
-    segment, lo[root] = -1, 0, ... (see assignments), each computed by
-    walk. Only the parts of root_prefix(n, b) are walked: reversing an
-    ordering (p -> n+1-p) keeps its bandwidth, so if any b-ordering
-    exists, one puts the root at a position up to ceil(n/2), and every
-    assignment consistent with it has its root's lo in the prefix. So a
-    "no" needs only the prefix, and the full stream's first "yes" lies
-    in it, after the same runs.
+    segment, lo[root] = -1, 0, ... (see search.enumerate_assignments),
+    each computed by walk. Only the parts of root_prefix(n, b) are
+    walked: reversing an ordering (p -> n+1-p) keeps its bandwidth, so
+    if any b-ordering exists, one puts the root at a position up to
+    ceil(n/2), and every assignment consistent with it has its root's
+    lo in the prefix. So a "no" needs only the prefix, and the full
+    stream's first "yes" lies in it, after the same runs.
 
     A serial decide walks the prefix at once. With `workers` above 1 and
     the compiled kernel, up to that many threads walk one part each at
@@ -125,9 +126,9 @@ def decide(
 
 def root_prefix(n: int, b: int) -> range:
     """The root choices that decide walks: the prefix of
-    root_choices(n, b) whose segments hold a position up to ceil(n/2),
-    lo[root] <= (ceil(n/2) - 1) // (b + 1)."""
-    return range(root_choices(n, b).start, (math.ceil(n / 2) - 1) // (b + 1) + 1)
+    search.root_choices(n, b) whose segments hold a position up to
+    ceil(n/2), that is, up to the base segment of position ceil(n/2)."""
+    return range(-1, segment_of((n + 1) // 2, b) + 1)
 
 
 def _check_workers(workers) -> None:

@@ -24,10 +24,8 @@ import math
 from dataclasses import dataclass
 
 from bwexact import search
-from bwexact.assignments import segment_width
-from bwexact.geometry import color_order, segment_of
 from bwexact.graph import Graph, RootedTree
-from bwexact.search import DEFAULT_MAX_STATES, YES, SearchStats
+from bwexact.search import DEFAULT_MAX_STATES, YES, SearchStats, color_order, segment_of, segment_width
 
 
 def hi(lo: tuple[int, ...], tree: RootedTree, v: int) -> int:

@@ -20,8 +20,8 @@ from conftest import (
 from reference_search import consistency_witness, edge_filter
 
 from bwexact.analysis import McWeights, kappa_for, optimize_weights
-from bwexact.assignments import enumerate_assignments
 from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
+from bwexact.search import enumerate_assignments
 from bwexact.solve import decide, minimize_bandwidth, oracle_bandwidth
 
 

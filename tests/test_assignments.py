@@ -3,8 +3,8 @@ import pytest
 from conftest import all_b_orderings, all_labeled_trees, max_assignments
 from reference_search import consistency_witness, edge_filter, hi
 
-from bwexact.assignments import enumerate_assignments, segment_width
 from bwexact.graph import Graph, RootedTree, generate, spanning_tree
+from bwexact.search import enumerate_assignments, segment_width
 
 
 def p2():

@@ -36,7 +36,6 @@ from reference_search import (
 )
 from test_solver import oracle_corpus
 
-from bwexact.assignments import enumerate_assignments, root_choices
 from bwexact import search, solve
 from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
 from bwexact.solve import Budget, decide, minimize_bandwidth
@@ -49,6 +48,8 @@ from bwexact.search import (
     SearchStats,
     WitnessError,
     dfs_decide,
+    enumerate_assignments,
+    root_choices,
 )
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(search.__file__)))

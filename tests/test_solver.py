@@ -16,9 +16,8 @@ from reference_search import edge_filter
 
 import bwexact
 from bwexact import search, solve
-from bwexact.assignments import enumerate_assignments
 from bwexact.graph import Graph, GraphError, connected_components, generate, ordering_bandwidth, spanning_tree
-from bwexact.search import WitnessError
+from bwexact.search import WitnessError, enumerate_assignments
 from bwexact.solve import (
     Budget,
     DecideResult,
