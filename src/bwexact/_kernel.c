@@ -1,7 +1,9 @@
 /* Compiled kernel: bw_dfs is the phase-2 state search for one segment
- * assignment, and bw_decide a decide over the phase-1 walk, or over the
- * part of it under a range of root choices. Python calls bw_decide
- * only; bw_dfs stays exported so that the tests can check it run by run.
+ * assignment, bw_decide a decide over the phase-1 walk, or over the
+ * part of it under a range of root choices, and bw_bounds a connected
+ * graph's lower bound and best Cuthill-McKee ordering. Python calls
+ * bw_decide and bw_bounds; bw_dfs stays exported so that the tests can
+ * check it run by run.
  *
  * bw_dfs runs the same search as dfs_decide in search.py, in the same
  * order, so it visits the same states and returns the same witness. A
@@ -311,4 +313,101 @@ int bw_decide(int n, int b, const uint64_t *adj, const int *order, const int *pa
         if (status != BW_NO)
             return status;
     }
+}
+
+enum { BOUNDS_OK = 0, BOUNDS_DISCONNECTED = 1, BOUNDS_NO_MEMORY = 2 };
+
+/* solve.bounds on a graph with n >= 2 vertices, given as off and nbr:
+ * v's neighbours are nbr[off[v]] .. nbr[off[v + 1] - 1], ascending, as
+ * in g.adj. Gives lo in out[0], hi in out[1] and the 1-based ordering
+ * of width hi in pos: the identity unless the Cuthill-McKee ordering
+ * from some source is strictly narrower, and then the first narrowest.
+ * The sources go in id order, and each BFS visits neighbours by
+ * (degree, id); the lists in that order come from one counting pass,
+ * which appends each vertex, taken by degree and then id, to its
+ * neighbours' lists. The early exits are the Python loop's: the width
+ * scan stops once it reaches hi, and the loop once hi meets the degree
+ * bound. The clock is read before each source; once it has passed the
+ * deadline, lo is the degree bound alone. The arrays are O(n + m) and
+ * have no MAXN limit. Returns BOUNDS_OK, BOUNDS_DISCONNECTED when a
+ * BFS misses a vertex or n < 2, or BOUNDS_NO_MEMORY. */
+int bw_bounds(int n, const int *off, const int *nbr, double deadline, int *pos, int *out)
+{
+    int maxdeg = 0, hi = 0, diam = 0, status = BOUNDS_OK;
+    if (n < 2) /* no diameter bound; solve.bounds refuses these first */
+        return BOUNDS_DISCONNECTED;
+    for (int v = 0; v < n; v++) {
+        int deg = off[v + 1] - off[v];
+        if (deg > maxdeg)
+            maxdeg = deg;
+        if (deg && nbr[off[v + 1] - 1] - v > hi) /* the identity's width */
+            hi = nbr[off[v + 1] - 1] - v;
+        pos[v] = v + 1;
+    }
+    int degree_bound = (maxdeg + 1) / 2, cycle_bound = off[n] / 2 >= n ? 2 : 1;
+    if (degree_bound < cycle_bound)
+        degree_bound = cycle_bound;
+    int lo = degree_bound; /* past the deadline, the diameter bound is left out */
+    int *cm = malloc(sizeof(int) * ((size_t)off[n] + 3 * (size_t)n + (size_t)maxdeg + 2));
+    if (cm == NULL)
+        return BOUNDS_NO_MEMORY;
+    int *dist = cm + off[n], *order = dist + n, *via = order + n, *below = via + n;
+    /* The counting pass: below[d] counts the vertices of degree < d, so
+     * order lists them by (degree, id); via[v] is where v's list in cm
+     * takes its next neighbour. */
+    for (int d = 0; d <= maxdeg + 1; d++)
+        below[d] = 0;
+    for (int v = 0; v < n; v++)
+        below[off[v + 1] - off[v] + 1]++;
+    for (int d = 1; d <= maxdeg + 1; d++)
+        below[d] += below[d - 1];
+    for (int v = 0; v < n; v++) {
+        order[below[off[v + 1] - off[v]]++] = v;
+        via[v] = off[v];
+    }
+    for (int i = 0; i < n; i++)
+        for (int k = off[order[i]]; k < off[order[i] + 1]; k++)
+            cm[via[nbr[k]]++] = order[i];
+    for (int src = 0; src < n; src++) {
+        if (past(deadline, NULL))
+            goto done;
+        for (int v = 0; v < n; v++)
+            dist[v] = -1;
+        dist[src] = 0;
+        order[0] = src;
+        int seen = 1, width = 0;
+        for (int i = 0; i < seen; i++) /* via[j]: the index in order of j's BFS parent */
+            for (int k = off[order[i]]; k < off[order[i] + 1]; k++)
+                if (dist[cm[k]] < 0) {
+                    dist[cm[k]] = dist[order[i]] + 1;
+                    via[seen] = i;
+                    order[seen++] = cm[k];
+                }
+        if (seen != n) {
+            status = BOUNDS_DISCONNECTED;
+            goto done;
+        }
+        if (dist[order[n - 1]] > diam)
+            diam = dist[order[n - 1]];
+        /* The width of a BFS order is its widest tree edge, j - via[j]. */
+        for (int j = 1; j < n && width < hi; j++)
+            if (j - via[j] > width)
+                width = j - via[j];
+        if (width < hi) {
+            hi = width;
+            for (int i = 0; i < n; i++)
+                pos[order[i]] = i + 1;
+        }
+        if (hi == degree_bound) {
+            lo = hi;
+            goto done;
+        }
+    }
+    if ((n - 1 + diam - 1) / diam > lo) /* ceil((n - 1) / diam) */
+        lo = (n - 1 + diam - 1) / diam;
+done:
+    free(cm);
+    out[0] = lo;
+    out[1] = hi;
+    return status;
 }

@@ -38,6 +38,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import itertools
 import math
 import os
 import shutil
@@ -45,7 +46,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
-from .graph import Graph, RootedTree, ordering_bandwidth
+from .graph import Graph, GraphError, RootedTree, ordering_bandwidth
 
 DEFAULT_MAX_STATES = 1 << 26
 
@@ -348,6 +349,25 @@ def c_decide(g: Graph, b: int, tree: RootedTree, roots: range, max_states: int =
     return DecideResult(status, _checked(g, b, pos[:], "c") if status == YES else None, stats)
 
 
+def c_bounds(g: Graph, deadline: float = math.inf) -> tuple[int, int, list[int]] | None:
+    """solve.bounds(g, deadline), for g with n >= 2, in one bw_bounds
+    call for any n; None when the library does not load. Raises
+    GraphError on a disconnected g, MemoryError when bw_bounds cannot
+    allocate."""
+    kernel = _c_kernel()
+    if kernel is None:
+        return None
+    off = list(itertools.accumulate(map(len, g.adj), initial=0))
+    pos, out = (ctypes.c_int * g.n)(), (ctypes.c_int * 2)()
+    code = kernel.bw_bounds(g.n, (ctypes.c_int * len(off))(*off),
+                            (ctypes.c_int * off[-1])(*itertools.chain.from_iterable(g.adj)), deadline, pos, out)
+    if code == _BOUNDS_DISCONNECTED:
+        raise GraphError("bounds require a connected graph")
+    if code == _BOUNDS_NO_MEMORY:
+        raise MemoryError("bw_bounds could not allocate")
+    return out[0], out[1], pos[:]
+
+
 def c_kernel_for(n: int):
     """The compiled kernel when it loads and 1 <= n <= its MAXN, else
     None: the one test of whether a decide on n vertices runs in C."""
@@ -408,6 +428,7 @@ def _hall_child(ok, unplaced, nbrs, t, left):
 # bw_dfs and bw_decide return codes; out of memory is UNKNOWN like any cap.
 _C_STATUS = (NO, YES, UNKNOWN)
 _OUT_LEN = 3  # bw_decide's out[] slots: runs, states of all runs, of the largest run
+_BOUNDS_DISCONNECTED, _BOUNDS_NO_MEMORY = 1, 2  # bw_bounds' return codes besides 0, ok
 _U64_MAX = (1 << 64) - 1
 
 
@@ -416,8 +437,8 @@ _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kern
 
 @functools.cache
 def _c_kernel():
-    """The compiled kernel with bw_decide declared and its vertex limit,
-    bw_maxn, read into .maxn; None when it cannot be had.
+    """The compiled kernel with bw_decide and bw_bounds declared and its
+    vertex limit, bw_maxn, read into .maxn; None when it cannot be had.
 
     The library is built once per source version into this package's
     __pycache__, named by the source's sha256, and loaded from there by
@@ -434,7 +455,7 @@ def _c_kernel():
         return None
     try:
         kernel = ctypes.CDLL(lib)
-        dec = kernel.bw_decide
+        dec, bnd = kernel.bw_decide, kernel.bw_bounds
         kernel.maxn = ctypes.c_int.in_dll(kernel, "bw_maxn").value
     except (OSError, AttributeError, ValueError):
         return None
@@ -444,6 +465,9 @@ def _c_kernel():
     dec.argtypes = [ctypes.c_int, ctypes.c_int, u64_p, int_p, int_p, ctypes.c_int, ctypes.c_int,
                     ctypes.c_uint64, ctypes.c_double, int_p, int_p, u64_p]
     dec.restype = ctypes.c_int
+    # n, off, nbr, deadline, pos, out
+    bnd.argtypes = [ctypes.c_int, int_p, int_p, ctypes.c_double, int_p, int_p]
+    bnd.restype = ctypes.c_int
     return kernel
 
 

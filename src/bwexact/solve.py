@@ -29,6 +29,7 @@ from .search import (
     DecideStats,
     SearchPlan,
     WitnessError,
+    c_bounds,
     c_decide,
     c_kernel_for,
     color_order,  # noqa: F401 (perfbench/spans.py wraps solve.color_order)
@@ -192,12 +193,20 @@ def bounds(g: Graph, deadline: float = math.inf) -> tuple[int, int, list[int]]:
     that start. pos is the identity ordering unless one of these is
     strictly narrower, and then the first narrowest. Once hi meets the
     degree and cycle bounds, no ordering is narrower, so lo = hi and
-    the loop stops (on a path or a cycle, after the first BFS). When
-    the deadline passes first, lo is the degree and cycle bounds alone.
+    the loop stops (on a path or a cycle, after the first BFS). The
+    clock is read before each BFS; when the deadline passes first, lo
+    is the degree and cycle bounds alone.
+
+    When the compiled kernel loads, the loop is one bw_bounds call for
+    any n (search.c_bounds), with the same answers; the Python loop
+    below runs otherwise.
     """
     n = g.n
     if n < 2:
         raise GraphError("bounds require a connected graph with n >= 2")
+    compiled = c_bounds(g, deadline)
+    if compiled is not None:
+        return compiled
     degree = [len(a) for a in g.adj]
     degree_bound = max(math.ceil(max(degree) / 2), 2 if g.m >= n else 1)
     pos = list(range(1, n + 1))

@@ -37,7 +37,9 @@ from reference_search import (
 from test_solver import oracle_corpus
 
 from bwexact import search, solve
-from bwexact.graph import Graph, generate, ordering_bandwidth, spanning_tree
+from bwexact.graph import (
+    Graph, GraphError, connected_components, generate, is_connected, ordering_bandwidth, spanning_tree,
+)
 from bwexact.solve import Budget, decide, minimize_bandwidth
 from bwexact.search import (
     DEFAULT_MAX_STATES,
@@ -360,6 +362,26 @@ def corpus_answers():
             for g in acceptance_corpus() for b in range(1, g.n)]
 
 
+def bounds_answers():
+    """solve.bounds, as lists, for every graph of the acceptance corpus
+    and five with n > MAXN, three of them with n > 64, each with no
+    deadline and a past one; "GraphError" where it raises one, as on
+    the last of the five, two paths (but not past the deadline)."""
+    large = [generate("random_tree", 100, seed=1), generate("caterpillar", 30, 40, seed=3),
+             generate("random_gnp", 70, 0.1, seed=2), generate("cycle", 30),
+             Graph(30, [(v, v + 1) for v in range(29) if v != 14])]
+    past = time.monotonic() - 1
+    answers = []
+    for g in acceptance_corpus() + large:
+        for deadline in (math.inf, past):
+            try:
+                lo, hi, pos = solve.bounds(g, deadline)
+                answers.append([lo, hi, pos])
+            except GraphError:
+                answers.append("GraphError")
+    return answers
+
+
 @pytest.fixture(scope="module")
 def compiled_kernel():
     """The kernel tests below need the compiled kernel; it must build
@@ -676,13 +698,13 @@ class TestKernelSource:
         assert lib.exists()
 
     @pytest.mark.usefixtures("compiled_kernel")
-    @pytest.mark.parametrize("name", ["bw_decide", "bw_dfs"])
+    @pytest.mark.parametrize("name", ["bw_decide", "bw_dfs", "bw_bounds"])
     def test_argtypes_match_source(self, name):
         # ctypes passes whatever it is told: with too few or too many
         # argument types, the C function reads garbage silently.
         with open(search._KERNEL_SOURCE, encoding="utf-8") as fh:
             (params,) = re.findall(rf"^int {name}\(([^)]*)\)", fh.read(), re.M)
-        fn = search._c_kernel().bw_decide if name == "bw_decide" else bw_dfs()
+        fn = bw_dfs() if name == "bw_dfs" else getattr(search._c_kernel(), name)
         assert len(fn.argtypes) == len(params.split(","))
 
     def test_out_slots_fit_buffer(self):
@@ -721,7 +743,8 @@ class TestKernelSource:
         source = tmp_path / "src" / "_kernel.c"
         shutil.copy(search._KERNEL_SOURCE, source)
         script = ("import json, sys\nfrom bwexact import search\nsearch._KERNEL_SOURCE = sys.argv[1]\n"
-                  "import test_search\nprint(json.dumps(test_search.corpus_answers()))\n")
+                  "import test_search\n"
+                  "print(json.dumps([test_search.corpus_answers(), test_search.bounds_answers()]))\n")
         env = {**os.environ, "PATH": os.pathsep.join([str(tmp_path / "bin"), os.environ.get("PATH", "")]),
                "PYTHONPATH": os.pathsep.join([SRC, TESTS])}
         proc = subprocess.run([sys.executable, "-c", script, str(source)],
@@ -729,7 +752,10 @@ class TestKernelSource:
         assert proc.returncode == 0, proc.stderr[-2000:]
         (lib,) = (tmp_path / "src" / "__pycache__").iterdir()
         assert b"__ubsan_handle" in lib.read_bytes()
-        assert json.loads(proc.stdout) == corpus_answers()
+        decides, bounds = json.loads(proc.stdout)
+        assert decides == corpus_answers()
+        with mock.patch.object(search, "_c_kernel", lambda: None):  # bounds' Python loop
+            assert bounds == bounds_answers()
 
 
 def source_maxn():
@@ -774,6 +800,31 @@ class TestKernelFallback:
         assert (got.stats.kernel, want_decide.stats.kernel) == ("python", "c")
         assert (got.status, got.ordering) == (want_decide.status, want_decide.ordering)
         assert {**got.stats.to_dict(), "kernel": "c"} == want_decide.stats.to_dict()
+
+    @pytest.mark.usefixtures("compiled_kernel")
+    def test_build_failure_gives_same_bounds_and_solves(self, tmp_path, monkeypatch, fresh_loader):
+        # With the build failing, bounds and whole solves come out the
+        # same from the Python loops, but for the kernel named in the
+        # stats: two disconnected graphs, and caterpillar(40, 5), whose
+        # bounds meet at n > MAXN.
+        graphs = [generate("random_gnp", 8, 0.4, seed=5), generate("random_gnp", 12, 0.2, seed=3, connected=False),
+                  generate("random_gnp", 14, 0.15, seed=1, connected=False), generate("caterpillar", 40, 5)]
+        assert [is_connected(g) for g in graphs] == [True, False, False, True]
+        want = [(solve.bounds(g) if is_connected(g) else None, minimize_bandwidth(g).to_dict()) for g in graphs]
+        source = tmp_path / "_kernel.c"
+        shutil.copy(search._KERNEL_SOURCE, source)
+        monkeypatch.setattr(search, "_KERNEL_SOURCE", str(source))
+        monkeypatch.setattr(search, "_compile_kernel", lambda src, lib: False)
+        search._c_kernel.cache_clear()
+        assert search._c_kernel() is None
+        for g, (bounds, solved) in zip(graphs, want):
+            assert (solve.bounds(g) if is_connected(g) else None) == bounds
+            got = minimize_bandwidth(g).to_dict()
+            assert got["stats"].pop("kernel") in ("python", None)
+            solved["stats"].pop("kernel")
+            assert got == solved
+        with pytest.raises(GraphError):
+            solve.bounds(graphs[1])
 
     def test_broken_source_falls_back(self, tmp_path, monkeypatch, fresh_loader):
         source = tmp_path / "_kernel.c"

@@ -641,8 +641,8 @@ class TestLowerBound:
         assert lower_bound(generate("cycle", 7), deadline=past) == 2
 
     def test_path_solve_honours_deadline(self):
-        # A BFS per vertex takes seconds here; the identity ordering
-        # already meets the degree bound.
+        # The identity ordering already meets the degree bound, so the
+        # bounds stop after one BFS.
         start = time.monotonic()
         res = minimize_bandwidth(generate("path", 4000), Budget(max_seconds=0.5))
         assert time.monotonic() - start < 1.0
@@ -657,14 +657,33 @@ class TestLowerBound:
         assert (res.status, res.bandwidth, res.stats["runs"]) == (OPTIMAL, 2, 0)
 
     def test_tree_solve_honours_deadline(self):
-        # A BFS per vertex takes seconds here; the deadline cuts the
-        # diameter search and leaves the degree bound.
+        # A BFS per vertex takes seconds here, even in C; the deadline
+        # cuts the diameter search and leaves the degree bound.
+        g = generate("random_tree", 20_000, seed=0)
         start = time.monotonic()
-        res = minimize_bandwidth(generate("random_tree", 2000, seed=0), Budget(max_seconds=0.3))
+        res = minimize_bandwidth(g, Budget(max_seconds=0.3))
         assert time.monotonic() - start < 0.8
         assert res.status == UNKNOWN
         assert "unknown_brackets" not in res.stats
-        assert res.stats["bracket"] == [4, res.bandwidth]
+        assert res.stats["bracket"] == [5, res.bandwidth]
+
+
+class TestLowerBoundPythonLoop(TestLowerBound):
+    """TestLowerBound on bounds' Python loop, the library forced off."""
+
+    @pytest.fixture(autouse=True)
+    def python_loop(self, monkeypatch):
+        monkeypatch.setattr(search, "_c_kernel", lambda: None)
+
+
+@pytest.mark.skipif(search._c_kernel() is None, reason="no compiled kernel")
+def test_compiled_bounds_finish_large_tree():
+    # The compiled loop takes every BFS of random_tree(2000) in about
+    # 0.04 s, so the diameter bound is in; the Python loop takes about
+    # 1 s and stops at [4, 42].
+    g = generate("random_tree", 2000, seed=0)
+    res = minimize_bandwidth(g, Budget(max_seconds=0.3))
+    assert (res.status, res.stats["bracket"]) == (UNKNOWN, [15, 42])
 
 
 def oracle_corpus():
@@ -720,6 +739,60 @@ class TestBounds:
         res = minimize_bandwidth(generate(family, *params), Budget(max_seconds=5))
         assert time.monotonic() - start < 2
         assert (res.status, res.bandwidth, res.stats["runs"]) == (OPTIMAL, 2, 0)
+
+
+class TestBoundsPythonLoop(TestBounds):
+    """TestBounds on bounds' Python loop, the library forced off."""
+
+    @pytest.fixture(autouse=True)
+    def python_loop(self, monkeypatch):
+        monkeypatch.setattr(search, "_c_kernel", lambda: None)
+
+
+def bounds_or_error(g, deadline=math.inf):
+    """bounds(g, deadline), or "GraphError" where it raises one."""
+    try:
+        return bounds(g, deadline)
+    except GraphError:
+        return "GraphError"
+
+
+def bounds_gate_corpus():
+    """Every pool instance and its components, the oracle corpus, 700
+    seeded graphs with n <= 40 (some disconnected) and large inputs,
+    n > 64 among them."""
+    for name in ("gnp", "tree", "small"):
+        for g, _ in pool_instances(name):
+            yield g
+            yield from (comp for comp, _ in connected_components(g) if comp.n > 1)
+    yield from oracle_corpus()
+    rng = random.Random(7)
+    for seed in range(100):
+        n = rng.randint(2, 40)
+        yield generate("random_gnp", n, rng.uniform(0.05, 0.6), seed=seed, connected=False)
+        yield generate("random_gnp", n, rng.uniform(0.2, 0.9), seed=seed)
+        yield generate("random_tree", n, seed=seed)
+        yield generate("caterpillar", max(1, n // 3), n - max(1, n // 3), seed=seed)
+        yield generate(("path", "star", "complete")[seed % 3], n - (seed % 3 == 1))
+        yield generate("cycle", max(3, n))
+        yield Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+    yield from (generate("random_tree", 2000, seed=0), generate("star", 1500), generate("cycle", 4000),
+                generate("caterpillar", 40, 5), generate("random_gnp", 90, 0.05, seed=1))
+
+
+@pytest.mark.skipif(search._c_kernel() is None, reason="no compiled kernel")
+def test_compiled_bounds_match_python_loop(monkeypatch):
+    # (lo, hi, pos), and the GraphError on a disconnected graph, are the
+    # same from bw_bounds as from the Python loop, with and without a
+    # past deadline.
+    graphs = [g for g in bounds_gate_corpus() if g.n > 1]
+    past = time.monotonic() - 1
+    compiled = [(bounds_or_error(g), bounds_or_error(g, past)) for g in graphs]
+    monkeypatch.setattr(search, "_c_kernel", lambda: None)
+    for g, want in zip(graphs, compiled):
+        assert (bounds_or_error(g), bounds_or_error(g, past)) == want, g
+    assert sum(want[0] == "GraphError" for want in compiled) >= 50
+    assert max(g.n for g in graphs) > 64
 
 
 def pool_instances(name):
